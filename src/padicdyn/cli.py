@@ -91,6 +91,7 @@ def _cmd_lift(args) -> tuple[dict, list[str]]:
     prime = as_prime(args.prime)
     _check_modulus_size(prime.p, args.precision, args.allow_large)
     lifted = hensel.hensel_lift(f, args.seed, args.precision, prime, target=args.target)
+    ladder = lifted.ladder
     digits = PadicInt.from_int(lifted.root, prime, args.precision).digits
     payload = {
         "poly": f.coeff_list(),
@@ -98,12 +99,12 @@ def _cmd_lift(args) -> tuple[dict, list[str]]:
         "precision": args.precision,
         "seed": args.seed,
         "target": args.target,
-        "ladder": list(lifted.ladder),
+        "ladder": list(ladder),
         "root": lifted.root,
         "digits": list(digits),
     }
     lines = [
-        "ladder: " + " ".join(map(str, lifted.ladder)),
+        "ladder: " + " ".join(map(str, ladder)),
         "digits: " + " ".join(map(str, digits)),
     ]
     return payload, lines

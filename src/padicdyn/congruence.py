@@ -1,10 +1,9 @@
 """Root finding for f(x) = c (mod p) and a brute-force congruence oracle.
 
-The mod-p solver is plain exhaustion over [0, p) after a degree-lowering
-Fermat reduction; exhaustion is exact and doubles as its own
-certificate.  The oracle enumerates any modulus up to a configured
-bound and is the independent cross-check used throughout the test
-suite.
+The mod-p solver is FpPoly.roots, a gcd and equal-degree splitting
+root finder whose cost is polynomial in deg f and log p.  The oracle
+enumerates any modulus up to a configured bound and is the independent
+cross-check used throughout the test suite.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Union
 import numpy as np
 
 from .padic import Prime, as_prime
-from .polynomial import IntPoly, eval_mod, fermat_reduce, reduce_mod_p
+from .polynomial import IntPoly, eval_mod, reduce_mod_p
 
 DEFAULT_ORACLE_BOUND = 10**7
 
@@ -44,22 +43,14 @@ def congruence_is_identically_zero(
 
 def roots_mod_p(f: IntPoly, target: int, p: Union[int, Prime]) -> list[RootModP]:
     """All residues a in [0, p) with f(a) = target (mod p), ascending,
-    each classified by the derivative of the original f at a.
+    each classified by the derivative of f at a mod p.
 
-    When deg(f - target) >= p the search runs on the Fermat reduction,
-    which preserves the root set but not derivatives; classification
-    therefore always evaluates f' itself.  A reduction that vanishes
-    identically means every residue is a root.
+    A reduction that vanishes identically means every residue is a
+    root.
     """
     prime = as_prime(p)
     q = prime.p
-    shifted = f - target
-    h = reduce_mod_p(shifted, prime)
-    if h.is_zero:
-        residues: list[int] = list(range(q))
-    else:
-        g = fermat_reduce(shifted, prime) if h.degree >= q else h
-        residues = list(range(q)) if g.is_zero else g.roots()
+    residues = reduce_mod_p(f - target, prime).roots()
     deriv = f.derivative()
     out = []
     for a in residues:

@@ -1,15 +1,17 @@
 """Hensel lifting: refine a nonsingular root mod p to a root mod p^k.
 
-The lift walks one power at a time and keeps the whole ladder
-(a_1, ..., a_k), because downstream consumers want the intermediate
-residues: the ladder is a coherent sequence and converts directly to a
-truncated p-adic integer.  Quadratic (precision-doubling) stepping
-would satisfy the same contract but is deliberately not used here.
+The lift is unique, so it is computed directly at full precision by
+Newton iteration, doubling the precision at each stage
+(p^j -> p^min(2j, k)) while f'(a)^-1 is refined alongside by the Newton
+update s <- s(2 - f'(a)s).  The intermediate residues (a_1, ..., a_k)
+form a coherent sequence; they are the terminal root reduced mod p^j,
+so the ladder is derived from the root on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .errors import NotARootError, SingularRootError
@@ -19,23 +21,22 @@ from .polynomial import IntPoly, eval_mod
 
 @dataclass(frozen=True)
 class LiftedRoot:
-    """The ladder (a_1, ..., a_k) of residues produced by lifting, with
-    a_j in [0, p^j), f(a_j) = target (mod p^j), and consecutive entries
-    congruent mod p^j."""
+    """The unique root mod p^k of f = target lifting a nonsingular root
+    mod p, as `root` in [0, p^k) with `precision` k."""
 
     prime: Prime
-    ladder: tuple[int, ...]
+    root: int
+    precision: int
     polynomial: IntPoly
     target: int
 
-    @property
-    def precision(self) -> int:
-        return len(self.ladder)
-
-    @property
-    def root(self) -> int:
-        """The terminal residue mod p^k."""
-        return self.ladder[-1]
+    @cached_property
+    def ladder(self) -> tuple[int, ...]:
+        """(a_1, ..., a_k) with a_j = root mod p^j: each a_j solves the
+        congruence mod p^j, and consecutive entries agree mod p^j.
+        Built on first access, since it costs O(k^2) digit operations."""
+        q = self.prime.p
+        return tuple(self.root % q**j for j in range(1, self.precision + 1))
 
     def as_padic(self) -> PadicInt:
         return PadicInt.from_int(self.root, self.prime, self.precision)
@@ -78,28 +79,40 @@ def hensel_lift(
     p: Union[int, Prime],
     target: int = 0,
 ) -> LiftedRoot:
-    """Iterate hensel_step from a nonsingular root a0 of f = target
-    (mod p) up to precision p^k, returning the full ladder.
+    """Lift a nonsingular root a0 of f = target (mod p) to the unique
+    root mod p^k congruent to a0 mod p.
 
-    The terminal entry is the unique residue mod p^k congruent to a0
-    mod p solving the congruence.  Seeds that are not roots mod p, or
-    that are singular, are rejected up front.  f need not be monic:
-    only the nonsingularity of the seed is used, even though the
-    classical p-adic statement is usually phrased for monic f.
+    The first stage, p -> p^2, is one hensel_step; each later stage
+    doubles the precision with the Newton update a - g(a) * s, where
+    s = g'(a)^-1 is kept correct to the current precision.  Seeds that
+    are not roots mod p, or that are singular, are rejected up front.
+    f need not be monic: only the nonsingularity of the seed is used,
+    even though the classical p-adic statement is usually phrased for
+    monic f.
     """
     prime = as_prime(p)
     q = prime.p
     if k < 1:
         raise ValueError("precision must be at least 1")
     g = f - target
+    dg = g.derivative()
     a = a0 % q
     if eval_mod(g, a, q) != 0:
         raise NotARootError(f"seed {a0} is not a root of the congruence modulo {q}")
-    if eval_mod(g.derivative(), a, q) == 0:
+    d = eval_mod(dg, a, q)
+    if d == 0:
         raise SingularRootError(
             f"seed {a0} is singular mod {q}: no unique lift exists"
         )
-    ladder = [a]
-    for j in range(1, k):
-        ladder.append(hensel_step(g, ladder[-1], j, prime))
-    return LiftedRoot(prime, tuple(ladder), f, target % q**k)
+    if k > 1:
+        a = hensel_step(g, a, 1, prime)
+        j, m = 2, q * q
+        s = pow(d, -1, q)
+        while j < k:
+            # s is g'(a)^-1 mod p^(j/2); one Newton update makes it exact
+            # mod p^j, which is all the step to p^(2j) needs.
+            s = s * (2 - eval_mod(dg, a, m) * s) % m
+            j = min(2 * j, k)
+            m = q**j
+            a = (a - eval_mod(g, a, m) * s) % m
+    return LiftedRoot(prime, a, k, f, target % q**k)

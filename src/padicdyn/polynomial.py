@@ -222,8 +222,24 @@ class FpPoly:
         return total
 
     def roots(self) -> list[int]:
-        """All residues in [0, p) where the polynomial vanishes, ascending."""
-        return [a for a in range(self.prime.p) if self.eval(a) == 0]
+        """All residues in [0, p) where the polynomial vanishes, ascending.
+
+        Rabin's method: g = gcd(h, x^p - x) collects the distinct linear
+        factors of h, with x^p taken mod h by repeated squaring, and
+        equal-degree splitting by gcd(g, (x + a)^((p-1)/2) - 1) over the
+        fixed shifts a = 0, 1, 2, ... peels them apart.  The cost is
+        polynomial in deg h and log p; the output does not depend on any
+        random choice.  The zero polynomial vanishes everywhere.
+        """
+        p = self.prime.p
+        if self.is_zero:
+            return list(range(p))
+        if p == 2:
+            return [a for a in (0, 1) if self.eval(a) == 0]
+        h = _monic(list(self.coeffs), p)
+        xp = _powmod([0, 1], p, h, p)
+        g = _gcd(h, _sub(xp, [0, 1], p), p)
+        return sorted(_split_linear(g, p))
 
     def _check_same_field(self, other: "FpPoly") -> None:
         if self.prime != other.prime:
@@ -267,22 +283,107 @@ def fp_divmod(f: FpPoly, g: FpPoly) -> tuple[FpPoly, FpPoly]:
     f._check_same_field(g)
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    p = f.prime.p
-    if f.degree < g.degree:
-        return FpPoly(f.prime, ()), f
-    inv_lead = pow(g.leading_coefficient, -1, p)
-    rem = list(f.coeffs)
-    dg = g.degree
-    quot = [0] * (f.degree - dg + 1)
-    for i in range(f.degree, dg - 1, -1):
-        c = rem[i] % p
-        if c == 0:
+    quot, rem = _divmod(list(f.coeffs), list(g.coeffs), f.prime.p)
+    return FpPoly(f.prime, tuple(quot)), FpPoly(f.prime, tuple(rem))
+
+
+# Dense arithmetic over F_p on coefficient lists (constant term first,
+# no trailing zeros; results reduced into [0, p) except _mul's), the
+# working form of the root finder: it multiplies many times per call
+# and builds no FpPoly.
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _monic(a: list[int], p: int) -> list[int]:
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _sub(a: list[int], b: list[int], p: int) -> list[int]:
+    n = max(len(a), len(b))
+    a = a + [0] * (n - len(a))
+    for i, c in enumerate(b):
+        a[i] -= c
+    return _trim([c % p for c in a])
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    """Product with unreduced coefficients."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b, i):
+                out[j] += c * d
+    return out
+
+
+def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q*b + r over F_p and deg r < deg b; b nonzero."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], _trim([c % p for c in a])
+    inv_lead = pow(b[-1], -1, p)
+    low = b[:-1]
+    rem = list(a)
+    quot = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = rem[i] * inv_lead % p
+        if c:
+            quot[i - db] = c
+            for j, d in enumerate(low, i - db):
+                rem[j] -= c * d
+    return quot, _trim([c % p for c in rem[:db]])
+
+
+def _powmod(base: list[int], e: int, h: list[int], p: int) -> list[int]:
+    """base^e mod h over F_p, e >= 1, by left-to-right squaring."""
+    result = _divmod(base, h, p)[1]
+    for bit in bin(e)[3:]:
+        result = _divmod(_mul(result, result), h, p)[1]
+        if bit == "1":
+            result = _divmod(_mul(result, base), h, p)[1]
+    return result
+
+
+def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over F_p; a nonzero."""
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    return _monic(a, p)
+
+
+def _split_linear(g: list[int], p: int) -> list[int]:
+    """Roots of a monic g over F_p, p odd, that is a product of distinct
+    linear factors (unordered).
+
+    A factor x - r divides gcd(g, (x + a)^((p-1)/2) - 1) exactly when
+    r + a is a nonzero square.  Two distinct roots differ in that
+    respect for some a in [0, p), so trying a = 0, 1, 2, ... in turn
+    always splits g.
+    """
+    roots = []
+    pending = [g] if len(g) > 1 else []
+    a = 0
+    while pending:
+        g = pending.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
             continue
-        factor = c * inv_lead % p
-        quot[i - dg] = factor
-        for j, b in enumerate(g.coeffs):
-            rem[i - dg + j] = (rem[i - dg + j] - factor * b) % p
-    return FpPoly(f.prime, tuple(quot)), FpPoly(f.prime, tuple(rem[:dg]))
+        while True:
+            w = _powmod([a % p, 1], (p - 1) // 2, g, p)
+            a += 1
+            s = _gcd(g, _sub(w, [1], p), p)
+            if 1 < len(s) < len(g):
+                break
+        pending += [s, _divmod(g, s, p)[0]]
+    return roots
 
 
 def _x_pow_p_minus_x(prime: Prime) -> FpPoly:
@@ -334,6 +435,4 @@ def make_monic(g: FpPoly) -> FpPoly:
         raise ValueError("cannot normalize the zero polynomial")
     if g.is_monic:
         return g
-    p = g.prime.p
-    inv = pow(g.leading_coefficient, -1, p)
-    return FpPoly(g.prime, tuple(c * inv for c in g.coeffs))
+    return FpPoly(g.prime, tuple(_monic(list(g.coeffs), g.prime.p)))

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import padicdyn
 from padicdyn.cli import main
 from padicdyn.schemas import SCHEMAS
 
@@ -132,6 +137,22 @@ class TestDeterminism:
         _, dot1, _ = run_cli(capsys, *argv, "--format", "dot")
         _, dot2, _ = run_cli(capsys, *argv, "--format", "dot")
         assert dot1 == dot2
+
+
+class TestLargePrime:
+    def test_roots_at_a_ten_digit_prime_finishes(self):
+        # a cold process, as a user runs it; the O(p) scan this replaces
+        # did not finish within 10 s
+        env = dict(os.environ, PYTHONPATH=str(Path(padicdyn.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "padicdyn.cli", "roots", "--poly", "x^2-2",
+             "--prime", "1000000007"],
+            capture_output=True, text=True, timeout=5, env=env,
+        )
+        assert proc.returncode == 0
+        payload = json.loads(proc.stdout)
+        assert [r["residue"] for r in payload["roots"]] == [59713600, 940286407]
+        jsonschema.validate(payload, SCHEMAS["roots"])
 
 
 class TestErrors:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -80,6 +81,22 @@ class TestRootsModP:
                 d = eval_mod(f.derivative(), r.residue, p)
                 assert r.derivative_residue == d
                 assert r.singular == (d == 0)
+
+
+    def test_large_prime_does_not_scan(self):
+        # an O(p) scan at p = 10^9 + 7 would take minutes per call
+        p = 1_000_000_007
+        rng = random.Random(97)
+        polys = [
+            IntPoly(tuple(rng.randrange(p) for _ in range(10)) + (1,))
+            for _ in range(50)
+        ]
+        start = time.perf_counter()
+        results = [roots_mod_p(f, 0, p) for f in polys]
+        assert time.perf_counter() - start < 0.5
+        for f, roots in zip(polys, results):
+            assert len(roots) <= 10
+            assert all(eval_mod(f, r.residue, p) == 0 for r in roots)
 
 
 class TestBruteForceOracle:

@@ -151,6 +151,41 @@ class TestHenselLift:
         with pytest.raises(ValueError):
             hensel_lift(IntPoly((-2, 0, 1)), 3, 0, 7)
 
+    def test_newton_matches_iterated_steps(self):
+        rng = random.Random(89)
+        for _ in range(300):
+            p = rng.choice(SMALL_PRIMES + [101, 257])
+            k = rng.randint(1, 40)
+            f, r = planted_nonsingular(rng, p, rng.randint(1, 6))
+            t = rng.randint(-50, 50)
+            ladder = [r % p]
+            for j in range(1, k):
+                ladder.append(hensel_step(f, ladder[-1], j, p))
+            lifted = hensel_lift(f + t, r, k, p, target=t)
+            assert lifted.root == ladder[-1]
+            assert lifted.precision == k
+            assert lifted.ladder == tuple(ladder)
+
+    def test_bad_seeds_rejected_before_any_step(self, monkeypatch):
+        from padicdyn import hensel
+
+        def no_step(*args):
+            raise AssertionError("hensel_step reached")
+
+        monkeypatch.setattr(hensel, "hensel_step", no_step)
+        with pytest.raises(NotARootError):
+            hensel.hensel_lift(IntPoly((-2, 0, 1)), 1, 40, 7)
+        with pytest.raises(SingularRootError):
+            hensel.hensel_lift(IntPoly((0, 0, 1)), 0, 40, 5)
+        with pytest.raises(SingularRootError):
+            hensel.hensel_lift(IntPoly((-1, 0, 0, 1)), 1, 40, 3)
+
+    def test_ladder_is_derived_on_demand(self):
+        lifted = hensel_lift(IntPoly((-2, 0, 1)), 3, 40, 7)
+        assert "ladder" not in vars(lifted)
+        assert lifted.ladder is lifted.ladder
+        assert lifted.ladder[-1] == lifted.root
+
     def test_non_monic_accepted(self):
         # 2x - 1 has the nonsingular root 3 mod 5: 2*3 = 6 = 1
         lifted = hensel_lift(IntPoly((-1, 2)), 3, 3, 5)

@@ -13,6 +13,7 @@ from padicdyn import (
     fp_divmod,
     make_monic,
     reduce_mod_p,
+    roots_mod_p,
 )
 from helpers import exhaustive_roots, random_int_poly
 
@@ -132,6 +133,57 @@ class TestFpDivmod:
             q, r = fp_divmod(f, g)
             assert q * g + r == f
             assert r.degree < g.degree
+
+
+class TestRootFinder:
+    PRIMES = [2, 3, 5, 7, 11, 101, 257]
+
+    def _case(self, rng, p):
+        kind = rng.randrange(5)
+        if kind == 0:  # planted roots, some repeated, times a random cofactor
+            f = random_int_poly(rng, 3, -50, 50)
+            for _ in range(rng.randint(1, 6)):
+                f = f * IntPoly((-rng.randrange(p), 1)) ** rng.randint(1, 3)
+            return f
+        if kind == 1:  # high degree: at or above p for every p <= 11
+            return random_int_poly(rng, min(2 * p + 2, 40), min_deg=min(p, 30))
+        if kind == 2:  # a constant, or a multiple of p: the zero reduction
+            if rng.random() < 0.5:
+                return random_int_poly(rng, 0)
+            return p * random_int_poly(rng, 4)
+        # non-monic, coefficients well outside [0, p)
+        return random_int_poly(rng, 8, -10**6, 10**6)
+
+    def test_matches_exhaustive_scan(self):
+        rng = random.Random(2024)
+        for _ in range(2100):
+            p = rng.choice(self.PRIMES)
+            f = self._case(rng, p)
+            t = rng.randint(-3 * p, 3 * p)
+            expected = exhaustive_roots(f, t, p)
+            assert reduce_mod_p(f - t, p).roots() == expected
+            assert [r.residue for r in roots_mod_p(f, t, p)] == expected
+
+    def test_every_residue_a_root(self):
+        # x^p - x splits into all p linear factors
+        for p in self.PRIMES:
+            f = IntPoly.monomial(1, p) - IntPoly.x()
+            assert reduce_mod_p(f, p).roots() == list(range(p))
+            assert reduce_mod_p(f * f, p).roots() == list(range(p))
+
+    def test_zero_and_constants(self):
+        assert FpPoly(Prime(5), ()).roots() == [0, 1, 2, 3, 4]
+        assert FpPoly(Prime(5), (3,)).roots() == []
+        assert FpPoly(Prime(2), (1,)).roots() == []
+
+    def test_large_prime_planted_roots(self):
+        # (x - r)^2 (x - s) has exactly the roots r and s
+        p = 1_000_000_007
+        rng = random.Random(9)
+        for _ in range(20):
+            r, s = sorted(rng.sample(range(p), 2))
+            g = IntPoly((-r, 1)) ** 2 * IntPoly((-s, 1))
+            assert [x.residue for x in roots_mod_p(g, 0, p)] == [r, s]
 
 
 class TestFermatReduce:
