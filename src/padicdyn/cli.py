@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import backward, congruence, hensel
 from .errors import BudgetExceededError, PadicDynError
-from .padic import PadicInt, as_prime
+from .padic import PadicInt, Prime, as_prime
 from .parsing import parse_poly
 from .polynomial import IntPoly
 
@@ -44,6 +44,19 @@ def _check_modulus_size(p: int, k: int, allow_large: bool) -> None:
         )
 
 
+def _degenerate(f: IntPoly, target: int, prime: Prime) -> bool:
+    """True when f - target vanishes mod p, so that every residue is a
+    root.  Listing them builds p objects, so that is refused for p above
+    the oracle's exhaustion bound."""
+    degenerate = congruence.congruence_is_identically_zero(f, target, prime)
+    if degenerate and prime.p > congruence.DEFAULT_ORACLE_BOUND:
+        raise PadicDynError(
+            f"f(x) = {target} holds for every residue mod {prime.p}; listing "
+            f"all of them is refused above {congruence.DEFAULT_ORACLE_BOUND}"
+        )
+    return degenerate
+
+
 def _root_dict(r: congruence.RootModP) -> dict:
     return {
         "residue": r.residue,
@@ -55,8 +68,8 @@ def _root_dict(r: congruence.RootModP) -> dict:
 def _cmd_roots(args) -> tuple[dict, list[str]]:
     f = parse_poly(args.poly)
     prime = as_prime(args.prime)
+    degenerate = _degenerate(f, args.target, prime)
     roots = congruence.roots_mod_p(f, args.target, prime)
-    degenerate = congruence.congruence_is_identically_zero(f, args.target, prime)
     payload = {
         "poly": f.coeff_list(),
         "prime": prime.p,
@@ -115,6 +128,7 @@ def _cmd_preimages(args) -> tuple[dict, list[str]]:
     prime = as_prime(args.prime)
     _check_modulus_size(prime.p, args.precision, args.allow_large)
     target = args.target % prime.p**args.precision
+    _degenerate(f, target, prime)
     lifted, singular = backward.preimages(f, target, prime, args.precision)
     payload = {
         "poly": f.coeff_list(),
@@ -148,6 +162,10 @@ def _cmd_tree(args) -> tuple[dict, list[str]]:
     f = parse_poly(args.poly)
     prime = as_prime(args.prime)
     _check_modulus_size(prime.p, args.precision, args.allow_large)
+    if args.depth > 0:
+        # Only the seed can be degenerate: then f' vanishes mod p too, so
+        # every child is a singular leaf and nothing deeper is solved.
+        _degenerate(f, args.seed, prime)
     tree = backward.backward_tree(
         f, args.seed, prime, args.precision, args.depth,
         max_nodes=_resolve_node_budget(args),

@@ -13,7 +13,9 @@ Grammar (whitespace-insensitive):
 '^' binds tighter than multiplication, which binds tighter than '+'/'-';
 exponents are nonnegative integer literals capped at 10^4.  Expressions
 are expanded at parse time into canonical coefficients, so "(x+1)^2"
-yields 1 + 2x + x^2.
+yields 1 + 2x + x^2.  To keep that expansion bounded, no product or
+power may reach a degree above the same cap, and parentheses may nest
+at most 100 deep (the parser recurses once per level).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import PolyParseError
 from .polynomial import IntPoly
 
 MAX_EXPONENT = 10_000
+MAX_NESTING = 100
 
 _INT = "int"
 _X = "x"
@@ -66,10 +69,18 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _check_degree(degree: int, position: int) -> None:
+    if degree > MAX_EXPONENT:
+        raise PolyParseError(
+            f"degree {degree} exceeds the limit {MAX_EXPONENT}", position
+        )
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -109,12 +120,13 @@ class _Parser:
             tok = self.peek()
             if tok.kind == _OP and tok.text == "*":
                 self.advance()
-                result = result * self.factor()
-            elif tok.kind == _X or (tok.kind == _OP and tok.text == "("):
-                # Implicit product: "7x", "2(x+1)", "(x+1)(x-1)".
-                result = result * self.factor()
-            else:
+            elif not (tok.kind == _X or (tok.kind == _OP and tok.text == "(")):
+                # 'x' and '(' make an implicit product: "7x", "2(x+1)",
+                # "(x+1)(x-1)"; any other token ends the term.
                 return result
+            rhs = self.factor()
+            _check_degree(result.degree + rhs.degree, tok.position)
+            result = result * rhs
 
     def factor(self) -> IntPoly:
         sign = 1
@@ -146,6 +158,7 @@ class _Parser:
                     exp.position,
                 )
             self.advance()
+            _check_degree(result.degree * exp.value, exp.position)
             result = result**exp.value
 
     def atom(self) -> IntPoly:
@@ -157,8 +170,14 @@ class _Parser:
             self.advance()
             return IntPoly.x()
         if tok.kind == _OP and tok.text == "(":
+            if self.nesting == MAX_NESTING:
+                raise PolyParseError(
+                    f"parentheses nest deeper than {MAX_NESTING}", tok.position
+                )
             self.advance()
+            self.nesting += 1
             inner = self.expr()
+            self.nesting -= 1
             self.expect_op(")")
             return inner
         raise PolyParseError(

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,23 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, _ = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+def run_python(*args, timeout=5):
+    """Run a fresh interpreter with the package importable, as a user
+    runs the CLI; a memory cap keeps a runaway child from growing large."""
+    env = dict(os.environ, PYTHONPATH=str(Path(padicdyn.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, timeout=timeout, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)),
+    )
+
+
+def loads_numpy(code):
+    proc = run_python("-c", code + "\nimport sys; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
 
 
 class TestSubcommands:
@@ -143,16 +161,74 @@ class TestLargePrime:
     def test_roots_at_a_ten_digit_prime_finishes(self):
         # a cold process, as a user runs it; the O(p) scan this replaces
         # did not finish within 10 s
-        env = dict(os.environ, PYTHONPATH=str(Path(padicdyn.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "padicdyn.cli", "roots", "--poly", "x^2-2",
-             "--prime", "1000000007"],
-            capture_output=True, text=True, timeout=5, env=env,
+        proc = run_python(
+            "-m", "padicdyn.cli", "roots", "--poly", "x^2-2", "--prime", "1000000007"
         )
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert [r["residue"] for r in payload["roots"]] == [59713600, 940286407]
         jsonschema.validate(payload, SCHEMAS["roots"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["roots", "--poly", "1000000007x", "--prime", "1000000007"],
+            ["preimages", "--poly", "1000000007x^2+5", "--prime", "1000000007",
+             "--precision", "2", "--target", "5"],
+            ["tree", "--poly", "1000000007x^2+5", "--prime", "1000000007",
+             "--precision", "1", "--seed", "5", "--depth", "2"],
+        ],
+        ids=["roots", "preimages", "tree"],
+    )
+    def test_degenerate_congruence_is_refused_at_once(self, argv):
+        # every one of the 10^9 + 7 residues is a root; listing them would
+        # build one object per residue
+        proc = run_python("-m", "padicdyn.cli", *argv, timeout=1)
+        assert proc.returncode == 1
+        payload = json.loads(proc.stdout)
+        jsonschema.validate(payload, SCHEMAS["error"])
+        assert "every residue mod 1000000007" in payload["error"]["message"]
+
+    def test_degenerate_congruence_at_small_prime_lists_every_residue(self, capsys):
+        code, payload = run_json(capsys, "roots", "--poly", "7x", "--prime", "7")
+        assert code == 0
+        assert payload["degenerate"] is True
+        assert [r["residue"] for r in payload["roots"]] == list(range(7))
+
+
+class TestParserLimits:
+    @pytest.mark.parametrize(
+        "poly",
+        ["(" * 5000 + "x" + ")" * 5000, "((x+1)^1000)^1000"],
+        ids=["deep-nesting", "huge-degree"],
+    )
+    def test_runaway_polynomial_is_a_parse_error(self, poly):
+        # both used to end in a RecursionError traceback or a hang
+        proc = run_python(
+            "-m", "padicdyn.cli", "roots", "--poly", poly, "--prime", "7", timeout=1
+        )
+        assert proc.returncode == 1
+        payload = json.loads(proc.stdout)
+        jsonschema.validate(payload, SCHEMAS["error"])
+        assert payload["error"]["type"] == "PolyParseError"
+
+
+class TestLazyNumpy:
+    def test_importing_the_package_and_cli_skips_numpy(self):
+        assert not loads_numpy("import padicdyn, padicdyn.cli")
+
+    def test_oracle_below_the_cutoff_skips_numpy(self):
+        assert not loads_numpy(
+            "from padicdyn import cli\n"
+            "cli.main(['oracle', '--poly=5x^2-7x+3', '--modulus=9999', '--target=1'])"
+        )
+
+    def test_oracle_at_the_cutoff_loads_numpy(self):
+        assert loads_numpy(
+            "from padicdyn import congruence, parse_poly\n"
+            "congruence.solve_congruence_bruteforce("
+            "parse_poly('x^2+1'), 0, congruence._VECTOR_MIN)"
+        )
 
 
 class TestErrors:

@@ -140,6 +140,30 @@ class TestBruteForceOracle:
                 coeffs, c, m
             ) == congruence._bruteforce_python(coeffs, c, m)
 
+    def test_both_sides_of_the_vector_cutoff_match_the_loop(self, monkeypatch):
+        from padicdyn import congruence
+
+        vector_calls = []
+        vectorized = congruence._bruteforce_vectorized
+
+        def counting(coeffs, target, m):
+            vector_calls.append(m)
+            return vectorized(coeffs, target, m)
+
+        monkeypatch.setattr(congruence, "_bruteforce_vectorized", counting)
+        rng = random.Random(71)
+        cutoff = congruence._VECTOR_MIN
+        for m in [cutoff - 1, cutoff]:
+            for _ in range(3):
+                f = random_int_poly(rng, 4, -10**6, 10**6)
+                c = rng.randrange(m)
+                expected = congruence._bruteforce_python(
+                    [x % m for x in f.coeffs], c, m
+                )
+                assert solve_congruence_bruteforce(f, c, m) == expected
+        # only the three calls at the cutoff took the numpy path
+        assert vector_calls == [cutoff] * 3
+
     def test_nontrivial_target(self):
         f = IntPoly((0, 0, 1))
         assert solve_congruence_bruteforce(f, 2, 7) == [3, 4]

@@ -74,6 +74,29 @@ class TestParsePoly:
         with pytest.raises(PolyParseError):
             parse_poly("x^10001")
 
+    def test_degree_limit_applies_to_products_and_powers(self):
+        assert parse_poly("x^5000 * x^5000").degree == 10000
+        assert parse_poly("(x^100)^100").degree == 10000
+        for text, pos in [
+            ("x^5000 * x^5001", 7),
+            ("x^5000 x^5001", 7),
+            ("(x^100)^101", 8),
+        ]:
+            with pytest.raises(PolyParseError) as err:
+                parse_poly(text)
+            assert err.value.position == pos
+            assert "exceeds the limit 10000" in str(err.value)
+        # constants have degree 0 at any power
+        assert parse_poly("(2^10)^10").coeffs == (2**100,)
+
+    def test_nesting_limit(self):
+        assert parse_poly("(" * 100 + "x+1" + ")" * 100).coeffs == (1, 1)
+        with pytest.raises(PolyParseError) as err:
+            parse_poly("(" * 101 + "x" + ")" * 101)
+        assert err.value.position == 100
+        with pytest.raises(PolyParseError):
+            parse_poly("(" * 5000 + "x" + ")" * 5000)
+
     def test_round_trip_random(self):
         rng = random.Random(137)
         for _ in range(500):
