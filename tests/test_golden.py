@@ -1,7 +1,9 @@
 """CLI golden set: fixed argv cases whose stdout must stay byte-identical.
 
 `tests/golden/cli.json` holds, per case, the argv, the exit code and
-the exact stdout.  An intentional output change is re-recorded with
+the exact stdout.  The `--help` cases pin the argument parser itself;
+argparse wraps help to the terminal width, so every case runs with
+COLUMNS=80.  An intentional output change is re-recorded with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -10,6 +12,7 @@ and the diff of the JSON file shows what changed.
 
 import io
 import json
+import os
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -60,17 +63,30 @@ CASES = [
     ["dist", "--s", "0,2,0", "--t", "0,0,1", "--prime", "5"],
     ["dist", "--s", "1,2,3,4", "--t", "1,2,3,9", "--metric", "first-diff",
      "--format", "table"],
+    # --prime is optional for dist and only checked by the series metric
+    ["dist", "--s", "1,2", "--t", "1,3", "--metric", "first-diff", "--prime", "4"],
+    # shared steps fail in order: parse --poly, check --prime, cap p^k
+    ["lift", "--poly", "x^^2", "--prime", "9", "--precision", "300", "--seed", "0"],
+    ["lift", "--poly", "x", "--prime", "9", "--precision", "300", "--seed", "0"],
+    ["lift", "--poly", "x", "--prime", "7", "--precision", "300", "--seed", "0"],
+    ["--help"],
+    *[[cmd, "--help"] for cmd in
+      ["roots", "oracle", "lift", "preimages", "tree", "orbit", "dist"]],
 ]
 
 
 def run(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # --help
+            code = exc.code
     return code, buf.getvalue()
 
 
 def record():
+    os.environ["COLUMNS"] = "80"
     cases = []
     for argv in CASES:
         code, out = run(argv)
@@ -90,12 +106,12 @@ def test_golden_covers_exactly_the_cases():
 @pytest.mark.parametrize(
     "i", range(len(CASES)), ids=[f"{i:02d}-{a[0]}" for i, a in enumerate(CASES)]
 )
-def test_stdout_is_byte_identical(i, capsys):
+def test_stdout_is_byte_identical(i, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     case = _load()[i]
-    code = main(list(case["argv"]))
-    out = capsys.readouterr().out
+    code, out = run(case["argv"])
     assert (code, out) == (case["exit"], case["stdout"])
-    if "--format" not in case["argv"]:
+    if "--format" not in case["argv"] and "--help" not in case["argv"]:
         name = case["argv"][0] if code == 0 else "error"
         jsonschema.validate(json.loads(out), SCHEMAS[name])
 
