@@ -3,7 +3,17 @@
 Each subcommand delegates to exactly one core operation and prints a
 deterministic result: identical invocations produce byte-identical
 output.  Exit codes: 0 on success, 1 on domain errors (composite prime,
-singular seed, node budget exhaustion, ...), 2 on usage errors.
+singular seed, node budget exhaustion, input over a size limit, ...),
+2 on usage errors.
+
+The subcommands are data: COMMANDS maps each name to its help text, its
+flags in order, its handler and its --format choices.  build_parser()
+turns the table into subparsers, adding --allow-large to every
+subcommand with --precision and --format last.  main() runs the steps
+the subcommands share, once and in this order: parse --poly, check a
+required --prime, and cap p^k when there is a --precision.  A handler
+gets the parsed polynomial and prime, makes its one library call and
+builds the payload and the table lines.
 """
 
 from __future__ import annotations
@@ -12,7 +22,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import backward, congruence, hensel
 from .errors import BudgetExceededError, PadicDynError
@@ -22,6 +34,8 @@ from .polynomial import IntPoly
 
 # p^k stays below this unless --allow-large is passed.
 MAX_MODULUS = 2**256
+# orbit computes at most this many steps.
+MAX_STEPS = 10**6
 
 ENV_MAX_NODES = "PADIC_DYN_MAX_NODES"
 
@@ -38,7 +52,8 @@ def _parse_sequence(text: str, flag: str) -> list[int]:
 
 
 def _check_modulus_size(p: int, k: int, allow_large: bool) -> None:
-    if not allow_large and p**k > MAX_MODULUS:
+    # p >= 2, so k above 256 exceeds the cap without computing p^k
+    if not allow_large and (k > 256 or p**k > MAX_MODULUS):
         raise PadicDynError(
             f"{p}^{k} exceeds the default modulus cap 2^256; pass --allow-large"
         )
@@ -65,9 +80,7 @@ def _root_dict(r: congruence.RootModP) -> dict:
     }
 
 
-def _cmd_roots(args) -> tuple[dict, list[str]]:
-    f = parse_poly(args.poly)
-    prime = as_prime(args.prime)
+def _cmd_roots(args, f: IntPoly, prime: Prime) -> tuple[dict, list[str]]:
     degenerate = _degenerate(f, args.target, prime)
     roots = congruence.roots_mod_p(f, args.target, prime)
     payload = {
@@ -87,8 +100,7 @@ def _cmd_roots(args) -> tuple[dict, list[str]]:
     return payload, lines
 
 
-def _cmd_oracle(args) -> tuple[dict, list[str]]:
-    f = parse_poly(args.poly)
+def _cmd_oracle(args, f: IntPoly, prime: None) -> tuple[dict, list[str]]:
     solutions = congruence.solve_congruence_bruteforce(f, args.target, args.modulus)
     payload = {
         "poly": f.coeff_list(),
@@ -99,10 +111,7 @@ def _cmd_oracle(args) -> tuple[dict, list[str]]:
     return payload, [" ".join(map(str, solutions)) if solutions else "no solutions"]
 
 
-def _cmd_lift(args) -> tuple[dict, list[str]]:
-    f = parse_poly(args.poly)
-    prime = as_prime(args.prime)
-    _check_modulus_size(prime.p, args.precision, args.allow_large)
+def _cmd_lift(args, f: IntPoly, prime: Prime) -> tuple[dict, list[str]]:
     lifted = hensel.hensel_lift(f, args.seed, args.precision, prime, target=args.target)
     ladder = lifted.ladder
     digits = PadicInt.from_int(lifted.root, prime, args.precision).digits
@@ -123,10 +132,7 @@ def _cmd_lift(args) -> tuple[dict, list[str]]:
     return payload, lines
 
 
-def _cmd_preimages(args) -> tuple[dict, list[str]]:
-    f = parse_poly(args.poly)
-    prime = as_prime(args.prime)
-    _check_modulus_size(prime.p, args.precision, args.allow_large)
+def _cmd_preimages(args, f: IntPoly, prime: Prime) -> tuple[dict, list[str]]:
     target = args.target % prime.p**args.precision
     _degenerate(f, target, prime)
     lifted, singular = backward.preimages(f, target, prime, args.precision)
@@ -158,10 +164,7 @@ def _resolve_node_budget(args) -> int:
         raise PadicDynError(f"{ENV_MAX_NODES} must be an integer, got {env_budget!r}")
 
 
-def _cmd_tree(args) -> tuple[dict, list[str]]:
-    f = parse_poly(args.poly)
-    prime = as_prime(args.prime)
-    _check_modulus_size(prime.p, args.precision, args.allow_large)
+def _cmd_tree(args, f: IntPoly, prime: Prime) -> tuple[dict, list[str]]:
     if args.depth > 0:
         # Only the seed can be degenerate: then f' vanishes mod p too, so
         # every child is a singular leaf and nothing deeper is solved.
@@ -184,10 +187,9 @@ def _cmd_tree(args) -> tuple[dict, list[str]]:
     return tree.to_json_dict(), lines
 
 
-def _cmd_orbit(args) -> tuple[dict, list[str]]:
-    f = parse_poly(args.poly)
-    prime = as_prime(args.prime)
-    _check_modulus_size(prime.p, args.precision, args.allow_large)
+def _cmd_orbit(args, f: IntPoly, prime: Prime) -> tuple[dict, list[str]]:
+    if args.steps > MAX_STEPS:
+        raise PadicDynError(f"--steps {args.steps} exceeds the limit {MAX_STEPS}")
     orbit = backward.forward_orbit(f, args.seed, prime, args.precision, args.steps)
     payload = {
         "poly": f.coeff_list(),
@@ -210,7 +212,7 @@ def _cmd_orbit(args) -> tuple[dict, list[str]]:
     return payload, lines
 
 
-def _cmd_dist(args) -> tuple[dict, list[str]]:
+def _cmd_dist(args, f: None, prime: None) -> tuple[dict, list[str]]:
     s = _parse_sequence(args.s, "--s")
     t = _parse_sequence(args.t, "--t")
     if args.metric == "series":
@@ -229,18 +231,57 @@ def _cmd_dist(args) -> tuple[dict, list[str]]:
     return payload, [str(d)]
 
 
-def _add_poly_flag(sub) -> None:
-    sub.add_argument(
-        "--poly",
-        required=True,
-        help="polynomial in x, e.g. 'x^2 - 7x + 2' or '(x+1)^2'; "
-        "'^' binds tighter than '*' (explicit or implicit, as in 7x), "
-        "which binds tighter than '+'/'-'; unary minus allowed",
-    )
+# add_argument keywords of the flags in COMMANDS.
+POLY = {
+    "required": True,
+    "help": "polynomial in x, e.g. 'x^2 - 7x + 2' or '(x+1)^2'; "
+    "'^' binds tighter than '*' (explicit or implicit, as in 7x), "
+    "which binds tighter than '+'/'-'; unary minus allowed",
+}
+INT = {"type": int, "required": True}
+TARGET = {"type": int, "default": 0}
+SEQUENCE = {"required": True, "help": "comma-separated integers"}
+METRIC = {"choices": ["series", "first-diff"], "default": "series"}
+MAX_NODES = {
+    "type": int,
+    "default": None,
+    "help": f"node budget (default {backward.DEFAULT_NODE_BUDGET}, "
+    f"overridable via the {ENV_MAX_NODES} environment variable)",
+}
 
 
-def _add_format_flag(sub, choices) -> None:
-    sub.add_argument("--format", choices=choices, default="json", help="output format")
+@dataclass(frozen=True)
+class Command:
+    # flags: each flag in order, with its add_argument keywords;
+    # handler(args, f, prime) returns the JSON payload and the table lines
+    help: str
+    handler: Callable[..., tuple[dict, list[str]]]
+    flags: dict[str, dict]
+    formats: tuple[str, ...] = ("json", "table")
+
+
+COMMANDS = {
+    "roots": Command("solve f(x) = target (mod p)", _cmd_roots,
+                     {"--poly": POLY, "--prime": INT, "--target": TARGET}),
+    "oracle": Command("brute-force f(x) = target (mod m) for any modulus", _cmd_oracle,
+                      {"--poly": POLY, "--modulus": INT, "--target": TARGET}),
+    "lift": Command("Hensel-lift a nonsingular root mod p to precision p^k", _cmd_lift,
+                    {"--poly": POLY, "--prime": INT, "--precision": INT,
+                     "--seed": INT, "--target": TARGET}),
+    "preimages": Command("one backward step mod p^k", _cmd_preimages,
+                         {"--poly": POLY, "--prime": INT, "--precision": INT,
+                          "--target": INT}),
+    "tree": Command("iterated preimage tree mod p^k", _cmd_tree,
+                    {"--poly": POLY, "--prime": INT, "--precision": INT,
+                     "--seed": INT, "--depth": INT, "--max-nodes": MAX_NODES},
+                    ("json", "dot", "table")),
+    "orbit": Command("forward orbit mod p^k with cycle detection", _cmd_orbit,
+                     {"--poly": POLY, "--prime": INT, "--precision": INT,
+                      "--seed": INT, "--steps": INT}),
+    "dist": Command("distance between two residue sequences", _cmd_dist,
+                    {"--s": SEQUENCE, "--t": SEQUENCE, "--metric": METRIC,
+                     "--prime": {"type": int, "default": None}}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,87 +291,29 @@ def build_parser() -> argparse.ArgumentParser:
         "integers: congruence solving, Hensel lifting, preimage trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    roots = sub.add_parser("roots", help="solve f(x) = target (mod p)")
-    _add_poly_flag(roots)
-    roots.add_argument("--prime", type=int, required=True)
-    roots.add_argument("--target", type=int, default=0)
-    _add_format_flag(roots, ["json", "table"])
-    roots.set_defaults(handler=_cmd_roots)
-
-    oracle = sub.add_parser(
-        "oracle", help="brute-force f(x) = target (mod m) for any modulus"
-    )
-    _add_poly_flag(oracle)
-    oracle.add_argument("--modulus", type=int, required=True)
-    oracle.add_argument("--target", type=int, default=0)
-    _add_format_flag(oracle, ["json", "table"])
-    oracle.set_defaults(handler=_cmd_oracle)
-
-    lift = sub.add_parser(
-        "lift", help="Hensel-lift a nonsingular root mod p to precision p^k"
-    )
-    _add_poly_flag(lift)
-    lift.add_argument("--prime", type=int, required=True)
-    lift.add_argument("--precision", type=int, required=True)
-    lift.add_argument("--seed", type=int, required=True)
-    lift.add_argument("--target", type=int, default=0)
-    lift.add_argument("--allow-large", action="store_true")
-    _add_format_flag(lift, ["json", "table"])
-    lift.set_defaults(handler=_cmd_lift)
-
-    pre = sub.add_parser("preimages", help="one backward step mod p^k")
-    _add_poly_flag(pre)
-    pre.add_argument("--prime", type=int, required=True)
-    pre.add_argument("--precision", type=int, required=True)
-    pre.add_argument("--target", type=int, required=True)
-    pre.add_argument("--allow-large", action="store_true")
-    _add_format_flag(pre, ["json", "table"])
-    pre.set_defaults(handler=_cmd_preimages)
-
-    tree = sub.add_parser("tree", help="iterated preimage tree mod p^k")
-    _add_poly_flag(tree)
-    tree.add_argument("--prime", type=int, required=True)
-    tree.add_argument("--precision", type=int, required=True)
-    tree.add_argument("--seed", type=int, required=True)
-    tree.add_argument("--depth", type=int, required=True)
-    tree.add_argument(
-        "--max-nodes",
-        type=int,
-        default=None,
-        help=f"node budget (default {backward.DEFAULT_NODE_BUDGET}, "
-        f"overridable via the {ENV_MAX_NODES} environment variable)",
-    )
-    tree.add_argument("--allow-large", action="store_true")
-    _add_format_flag(tree, ["json", "dot", "table"])
-    tree.set_defaults(handler=_cmd_tree)
-
-    orbit = sub.add_parser("orbit", help="forward orbit mod p^k with cycle detection")
-    _add_poly_flag(orbit)
-    orbit.add_argument("--prime", type=int, required=True)
-    orbit.add_argument("--precision", type=int, required=True)
-    orbit.add_argument("--seed", type=int, required=True)
-    orbit.add_argument("--steps", type=int, required=True)
-    orbit.add_argument("--allow-large", action="store_true")
-    _add_format_flag(orbit, ["json", "table"])
-    orbit.set_defaults(handler=_cmd_orbit)
-
-    dist = sub.add_parser("dist", help="distance between two residue sequences")
-    dist.add_argument("--s", required=True, help="comma-separated integers")
-    dist.add_argument("--t", required=True, help="comma-separated integers")
-    dist.add_argument("--metric", choices=["series", "first-diff"], default="series")
-    dist.add_argument("--prime", type=int, default=None)
-    _add_format_flag(dist, ["json", "table"])
-    dist.set_defaults(handler=_cmd_dist)
-
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
+        for flag, keywords in command.flags.items():
+            cmd.add_argument(flag, **keywords)
+        if "--precision" in command.flags:
+            cmd.add_argument("--allow-large", action="store_true")
+        cmd.add_argument(
+            "--format", choices=command.formats, default="json", help="output format"
+        )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        payload, table_lines = args.handler(args)
+        f = parse_poly(args.poly) if "--poly" in command.flags else None
+        # dist's --prime is optional; only its series metric checks it
+        required_prime = command.flags.get("--prime", {}).get("required")
+        prime = as_prime(args.prime) if required_prime else None
+        if "--precision" in command.flags:
+            _check_modulus_size(prime.p, args.precision, args.allow_large)
+        payload, table_lines = command.handler(args, f, prime)
     except (PadicDynError, ValueError) as exc:
         if args.format == "json":
             error = {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -9,7 +9,7 @@ evaluation at lifted roots modulo large prime powers never overflows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .padic import Prime, as_prime
 
@@ -100,15 +100,7 @@ class IntPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return IntPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPoly(tuple(out))
+        return IntPoly(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -246,25 +238,18 @@ class FpPoly:
             raise ValueError("mismatched prime fields")
 
     def __add__(self, other: "FpPoly") -> "FpPoly":
-        self._check_same_field(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FpPoly(self.prime, tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
+        return self - (-other)
 
     def __neg__(self) -> "FpPoly":
         return FpPoly(self.prime, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "FpPoly") -> "FpPoly":
-        return self + (-other)
+        self._check_same_field(other)
+        return FpPoly(self.prime, _sub(self.coeffs, other.coeffs, self.prime.p))
 
     def __mul__(self, other: "FpPoly") -> "FpPoly":
         self._check_same_field(other)
-        if self.is_zero or other.is_zero:
-            return FpPoly(self.prime, ())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return FpPoly(self.prime, tuple(out))
+        return FpPoly(self.prime, _mul(self.coeffs, other.coeffs))
 
     def to_int_poly(self) -> IntPoly:
         return IntPoly(self.coeffs)
@@ -290,7 +275,8 @@ def fp_divmod(f: FpPoly, g: FpPoly) -> tuple[FpPoly, FpPoly]:
 # Dense arithmetic over F_p on coefficient lists (constant term first,
 # no trailing zeros; results reduced into [0, p) except _mul's), the
 # working form of the root finder: it multiplies many times per call
-# and builds no FpPoly.
+# and builds no FpPoly.  _mul is exact over Z, so it is also IntPoly's
+# product, and _sub is FpPoly's sum and difference.
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -304,15 +290,15 @@ def _monic(a: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
-def _sub(a: list[int], b: list[int], p: int) -> list[int]:
+def _sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
+    a = list(a) + [0] * (n - len(a))
     for i, c in enumerate(b):
         a[i] -= c
     return _trim([c % p for c in a])
 
 
-def _mul(a: list[int], b: list[int]) -> list[int]:
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Product with unreduced coefficients."""
     if not a or not b:
         return []

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 import padicdyn
+from padicdyn import cli
 from padicdyn.cli import main
 from padicdyn.schemas import SCHEMAS
 
@@ -199,11 +200,12 @@ class TestLargePrime:
 class TestParserLimits:
     @pytest.mark.parametrize(
         "poly",
-        ["(" * 5000 + "x" + ")" * 5000, "((x+1)^1000)^1000"],
-        ids=["deep-nesting", "huge-degree"],
+        ["(" * 5000 + "x" + ")" * 5000, "((x+1)^1000)^1000", "(x+1)^10000",
+         "(99^10000)^10000"],
+        ids=["deep-nesting", "huge-degree", "huge-expansion", "huge-constant"],
     )
     def test_runaway_polynomial_is_a_parse_error(self, poly):
-        # both used to end in a RecursionError traceback or a hang
+        # each used to end in a RecursionError traceback or a hang
         proc = run_python(
             "-m", "padicdyn.cli", "roots", "--poly", poly, "--prime", "7", timeout=1
         )
@@ -211,6 +213,73 @@ class TestParserLimits:
         payload = json.loads(proc.stdout)
         jsonschema.validate(payload, SCHEMAS["error"])
         assert payload["error"]["type"] == "PolyParseError"
+
+
+class TestWorkLimits:
+    @pytest.mark.parametrize("precision", ["10000000", "1000000000"])
+    def test_modulus_cap_refuses_without_computing_the_power(self, precision):
+        # computing 7^k first took 10 s at k = 10^7 and longer at 10^9
+        proc = run_python(
+            "-m", "padicdyn.cli", "lift", "--poly", "x", "--prime", "7",
+            "--precision", precision, "--seed", "0", timeout=1,
+        )
+        assert proc.returncode == 1
+        payload = json.loads(proc.stdout)
+        jsonschema.validate(payload, SCHEMAS["error"])
+        assert payload["error"]["message"] == (
+            f"7^{precision} exceeds the default modulus cap 2^256; pass --allow-large"
+        )
+
+    def test_orbit_steps_are_capped(self, capsys, monkeypatch):
+        # 10^8 steps had not finished after 10 s
+        proc = run_python(
+            "-m", "padicdyn.cli", "orbit", "--poly", "x^2+1", "--prime", "7",
+            "--precision", "3", "--seed", "1", "--steps", "100000000", timeout=1,
+        )
+        assert proc.returncode == 1
+        payload = json.loads(proc.stdout)
+        jsonschema.validate(payload, SCHEMAS["error"])
+        assert "--steps 100000000 exceeds the limit" in payload["error"]["message"]
+        monkeypatch.setattr(cli, "MAX_STEPS", 5)
+        argv = ["orbit", "--poly", "x", "--prime", "2", "--precision", "1",
+                "--seed", "0", "--steps"]
+        code, payload = run_json(capsys, *argv, "6")
+        assert code == 1
+        assert payload["error"]["message"] == "--steps 6 exceeds the limit 5"
+        code, payload = run_json(capsys, *argv, "5")
+        assert code == 0
+        assert payload["orbit"] == [0] * 6
+
+
+class TestDispatcher:
+    def test_shared_steps_are_looked_up_at_call_time(self, capsys, monkeypatch):
+        # perfbench's tracer counts calls by patching these module attributes
+        calls = []
+
+        def counting(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        for name in ["parse_poly", "as_prime", "_check_modulus_size"]:
+            counting(name)
+        code, _, _ = run_cli(
+            capsys, "lift", "--poly", "x^2-2", "--prime", "7", "--precision", "3",
+            "--seed", "3",
+        )
+        assert code == 0
+        assert calls == ["parse_poly", "as_prime", "_check_modulus_size"]
+        calls.clear()
+        run_cli(capsys, "oracle", "--poly", "x^2", "--modulus", "10")
+        assert calls == ["parse_poly"]
+        calls.clear()
+        run_cli(capsys, "dist", "--s", "1", "--t", "2", "--metric", "first-diff",
+                "--prime", "4")
+        assert calls == []
 
 
 class TestLazyNumpy:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -88,6 +89,24 @@ class TestParsePoly:
             assert "exceeds the limit 10000" in str(err.value)
         # constants have degree 0 at any power
         assert parse_poly("(2^10)^10").coeffs == (2**100,)
+
+    def test_size_limit_applies_to_products_and_powers(self):
+        # (degree + 1) * (bits of the coefficient bound) against 2^20
+        assert parse_poly("(x+1)^1000").coeffs[500] == math.comb(1000, 500)
+        assert parse_poly("(x+1)^1023").degree == 1023
+        assert parse_poly("(2^1000)^1000").coeffs == (2**1000000,)
+        for text, pos in [
+            ("(x+1)^1024", 6),
+            ("(x+1)^600 * (x+1)^600", 10),
+            ("(x+1)^600 (x+1)^600", 10),
+            ("(2^1000)^1049", 9),
+        ]:
+            with pytest.raises(PolyParseError) as err:
+                parse_poly(text)
+            assert err.value.position == pos
+            assert "exceeds the limit 1048576" in str(err.value)
+        # monomials and sparse sums stay small at any degree
+        assert parse_poly("(x^100 + 1)^100").degree == 10000
 
     def test_nesting_limit(self):
         assert parse_poly("(" * 100 + "x+1" + ")" * 100).coeffs == (1, 1)
