@@ -44,6 +44,8 @@ def preimages(
     unexpanded.  Both lists may be empty.
     """
     prime = as_prime(p)
+    if k < 1:
+        raise ValueError("precision must be at least 1")
     modulus = prime.p**k
     target %= modulus
     roots = roots_mod_p(f, target, prime)
@@ -305,11 +307,14 @@ def distance_series(
     if len(s) != len(t):
         raise ValueError("sequences must have the same length")
     q = as_prime(p).p
-    total = Fraction(0)
-    for i, (a, b) in enumerate(zip(s, t)):
-        if a != b:
-            total += Fraction(abs(a - b), q**i)
-    return total
+    if not s:
+        return Fraction(0)
+    # numerator over the common denominator p^(n-1), by Horner; one
+    # Fraction (one gcd) at the end instead of one per term
+    num = 0
+    for a, b in zip(s, t):
+        num = num * q + abs(a - b)
+    return Fraction(num, q ** (len(s) - 1))
 
 
 def distance_first_difference(s: Sequence[int], t: Sequence[int]) -> Fraction:

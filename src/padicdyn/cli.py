@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -133,9 +134,10 @@ def _cmd_lift(args, f: IntPoly, prime: Prime) -> tuple[dict, list[str]]:
 
 
 def _cmd_preimages(args, f: IntPoly, prime: Prime) -> tuple[dict, list[str]]:
+    _degenerate(f, args.target, prime)
+    # preimages checks the precision before the CLI computes p^k from it
+    lifted, singular = backward.preimages(f, args.target, prime, args.precision)
     target = args.target % prime.p**args.precision
-    _degenerate(f, target, prime)
-    lifted, singular = backward.preimages(f, target, prime, args.precision)
     payload = {
         "poly": f.coeff_list(),
         "prime": prime.p,
@@ -218,7 +220,15 @@ def _cmd_dist(args, f: None, prime: None) -> tuple[dict, list[str]]:
     if args.metric == "series":
         if args.prime is None:
             raise PadicDynError("--prime is required for the series metric")
-        d: Fraction = backward.distance_series(s, t, as_prime(args.prime))
+        prime = as_prime(args.prime)
+        # the distance's denominator is p^(n-1); 0 means no digit limit
+        limit = sys.get_int_max_str_digits()
+        if limit and (len(s) - 1) * math.log10(prime.p) > limit:
+            raise PadicDynError(
+                f"{prime.p}^{len(s) - 1} has more than {limit} digits, "
+                "the interpreter's limit for printing an integer"
+            )
+        d: Fraction = backward.distance_series(s, t, prime)
     else:
         d = backward.distance_first_difference(s, t)
     payload = {
@@ -314,6 +324,12 @@ def main(argv: list[str] | None = None) -> int:
         if "--precision" in command.flags:
             _check_modulus_size(prime.p, args.precision, args.allow_large)
         payload, table_lines = command.handler(args, f, prime)
+        # inside the try: str() of an int past sys.get_int_max_str_digits()
+        # raises ValueError
+        if args.format == "json":
+            text = _json_dumps(payload)
+        else:
+            text = "\n".join(table_lines)
     except (PadicDynError, ValueError) as exc:
         if args.format == "json":
             error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
@@ -321,11 +337,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        print(_json_dumps(payload))
-    else:
-        for line in table_lines:
-            print(line)
+    print(text)
     return 0
 
 

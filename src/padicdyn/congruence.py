@@ -2,10 +2,11 @@
 
 The mod-p solver is FpPoly.roots, a gcd and equal-degree splitting
 root finder whose cost is polynomial in deg f and log p.  The oracle
-enumerates any modulus up to a configured bound and is the independent
-cross-check used throughout the test suite.  It evaluates large moduli
-with numpy, which is imported on the first such call only, so importing
-this module (and the CLI) never loads it.
+handles any modulus up to a configured bound and is the independent
+cross-check used throughout the test suite: it is exhaustive per
+prime-power factor, joined by CRT, and calls no root finder or lifter.
+It evaluates large moduli with numpy, which is imported on the first
+such call only, so importing this module (and the CLI) never loads it.
 """
 
 from __future__ import annotations
@@ -77,15 +78,61 @@ def _bruteforce_python(coeffs: list[int], target: int, m: int) -> list[int]:
 
 
 def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
-    # Horner over the whole range at once; coefficients already reduced
-    # mod m <= 2^31 keep every intermediate product inside int64.
+    # Horner over the whole range at once, in place; coefficients already
+    # reduced mod m <= 2^31 keep every intermediate product inside int64.
     import numpy as np
 
     xs = np.arange(m, dtype=np.int64)
     acc = np.full(m, coeffs[-1] if coeffs else 0, dtype=np.int64)
     for c in reversed(coeffs[:-1]):
-        acc = (acc * xs + c) % m
-    return [int(v) for v in np.flatnonzero(acc == target)]
+        np.multiply(acc, xs, out=acc)
+        acc += c
+        np.remainder(acc, m, out=acc)
+    return np.flatnonzero(acc == target).tolist()
+
+
+def _prime_power_factors(m: int) -> list[int]:
+    """The prime powers whose product is m, by trial division."""
+    factors = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            q = 1
+            while m % d == 0:
+                m //= d
+                q *= d
+            factors.append(q)
+        d += 1 if d == 2 else 2
+    if m > 1:
+        factors.append(m)
+    return factors
+
+
+def _crt_python(parts: list[tuple[list[int], int]]) -> list[int]:
+    # each step joins x = a (mod `mod`) and x = b (mod q), for q coprime
+    # to mod, into x = a + mod * ((b - a) * mod^-1 % q) (mod mod * q)
+    solutions, mod = [0], 1
+    for residues, q in parts:
+        inv = pow(mod, -1, q)
+        solutions = [a + mod * ((b - a) * inv % q) for a in solutions for b in residues]
+        mod *= q
+    return sorted(solutions)
+
+
+def _crt_vectorized(parts: list[tuple[list[int], int]]) -> list[int]:
+    # _crt_python as an outer sum; (b - a) % q * inv stays below q^2 <= 2^62
+    # and every joined residue below m <= 2^31, so int64 holds them
+    import numpy as np
+
+    solutions, mod = np.zeros(1, dtype=np.int64), 1
+    for residues, q in parts:
+        inv = pow(mod, -1, q)
+        a = solutions[:, None]
+        t = (np.asarray(residues, dtype=np.int64) - a) % q * inv % q
+        solutions = (a + mod * t).ravel()
+        mod *= q
+    solutions.sort()
+    return solutions.tolist()
 
 
 def solve_congruence_bruteforce(
@@ -95,18 +142,25 @@ def solve_congruence_bruteforce(
     *,
     bound: int = DEFAULT_ORACLE_BOUND,
 ) -> list[int]:
-    """All x in [0, m) with f(x) = target (mod m), by exhaustive
-    evaluation; sorted ascending.
+    """All x in [0, m) with f(x) = target (mod m), sorted ascending.
 
-    Any modulus >= 2 is accepted up to `bound` (default 10^7), which
-    keeps exhaustion tractable.
+    x solves the congruence mod m exactly when it does so mod each
+    prime-power factor q of m, so each q is scanned exhaustively and the
+    residue sets are joined by CRT.  Any modulus >= 2 is accepted up to
+    `bound` (default 10^7), which keeps exhaustion tractable.
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")
     if m > bound:
         raise ValueError(f"modulus {m} exceeds the exhaustion bound {bound}")
-    coeffs = [c % m for c in f.coeffs]
-    target %= m
     if _VECTOR_MIN <= m <= _VECTOR_MAX:
-        return _bruteforce_vectorized(coeffs, target, m)
-    return _bruteforce_python(coeffs, target, m)
+        scan, join = _bruteforce_vectorized, _crt_vectorized
+    else:
+        scan, join = _bruteforce_python, _crt_python
+    parts = []
+    for q in _prime_power_factors(m):
+        residues = scan([c % q for c in f.coeffs], target % q, q)
+        if not residues:
+            return []
+        parts.append((residues, q))
+    return join(parts)

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,12 @@ class TestPreimages:
             # children are pairwise distinct mod p
             residues = [v % p for v in lifted] + [r.residue for r in singular]
             assert len(residues) == len(set(residues))
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_precision_below_one_rejected(self, k):
+        # p^-1 is a float; the check has to come before it is formed
+        with pytest.raises(ValueError, match="precision must be at least 1"):
+            preimages(SQUARE, 2, 7, k)
 
 
 class TestBackwardTree:
@@ -222,6 +229,29 @@ class TestDistances:
         assert distance_first_difference([4, 4], [4, 4]) == 0
         assert distance_first_difference([1, 0], [0, 0]) == 1
         assert distance_first_difference([1, 2, 3, 4], [1, 2, 3, 5]) == Fraction(1, 8)
+
+    def test_series_matches_a_sum_of_fractions(self):
+        rng = random.Random(137)
+        for n in [0, 1, 2, 3, 10, 200]:
+            p = rng.choice([2, 3, 7, 1_000_003])
+            s = [rng.randint(-50, 50) for _ in range(n)]
+            t = [rng.choice([a, rng.randint(-50, 50)]) for a in s]
+            expected = sum(
+                (Fraction(abs(a - b), p**i) for i, (a, b) in enumerate(zip(s, t))),
+                Fraction(0),
+            )
+            assert distance_series(s, t, p) == expected
+
+    def test_series_is_not_quadratic_in_fractions(self):
+        # one Fraction add per term took 20 s at n = 4000
+        rng = random.Random(139)
+        s = [rng.randint(0, 99) for _ in range(4000)]
+        t = [rng.randint(0, 99) for _ in range(3999)] + [s[-1] + 1]
+        start = time.perf_counter()
+        d = distance_series(s, t, 1_000_003)
+        assert time.perf_counter() - start < 1
+        # the last term, 1 / p^3999, keeps the full denominator
+        assert d.denominator == 1_000_003**3999
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

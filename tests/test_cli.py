@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import resource
 import subprocess
@@ -249,6 +250,59 @@ class TestWorkLimits:
         code, payload = run_json(capsys, *argv, "5")
         assert code == 0
         assert payload["orbit"] == [0] * 6
+
+
+    def test_negative_precision_is_a_domain_error(self):
+        # p^-1 is a float, which ended in a TypeError traceback
+        proc = run_python(
+            "-m", "padicdyn.cli", "preimages", "--poly", "x", "--prime", "7",
+            "--precision", "-1", "--target", "2", timeout=1,
+        )
+        assert proc.returncode == 1
+        payload = json.loads(proc.stdout)
+        jsonschema.validate(payload, SCHEMAS["error"])
+        assert payload["error"] == {
+            "type": "ValueError", "message": "precision must be at least 1"
+        }
+
+    def test_output_past_the_int_digit_limit_is_a_domain_error(self):
+        # the target, -1 mod 2^(10^7), has about 3 * 10^6 digits; printing
+        # the payload raised outside main's try: a traceback, empty stdout
+        proc = run_python(
+            "-m", "padicdyn.cli", "preimages", "--poly", "49x^2", "--prime", "2",
+            "--precision", "10000000", "--target", "-1", "--allow-large",
+        )
+        assert proc.returncode == 1
+        payload = json.loads(proc.stdout)
+        jsonschema.validate(payload, SCHEMAS["error"])
+        assert payload["error"]["type"] == "ValueError"
+
+    def test_series_distance_past_the_int_digit_limit_is_refused(self):
+        # 1000003^4999 has about 30 000 digits; summing 5000 Fractions
+        # first took over 20 s
+        s, t = ",".join(["1"] * 5000), ",".join(["2"] * 5000)
+        proc = run_python(
+            "-m", "padicdyn.cli", "dist", "--s", s, "--t", t, "--prime", "1000003",
+            timeout=1,
+        )
+        assert proc.returncode == 1
+        payload = json.loads(proc.stdout)
+        jsonschema.validate(payload, SCHEMAS["error"])
+        assert payload["error"]["type"] == "PadicDynError"
+        assert "1000003^4999 has more than" in payload["error"]["message"]
+
+    def test_series_distance_up_to_the_int_digit_limit_prints(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("no digit limit in this interpreter")
+        # 7^n has floor(n log10 7) + 1 digits, at most `limit` up to n_max
+        n_max = int(limit / math.log10(7))
+        for n, code in [(n_max, 0), (n_max + 1, 1)]:
+            s, t = ",".join(["0"] * (n + 1)), ",".join(["0"] * n + ["1"])
+            got, payload = run_json(capsys, "dist", "--s", s, "--t", t, "--prime", "7")
+            assert got == code
+            if code == 0:
+                assert payload["distance"] == f"1/{7**n}"
 
 
 class TestDispatcher:

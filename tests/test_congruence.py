@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import time
 
@@ -12,6 +14,7 @@ from padicdyn import (
     roots_mod_p,
     solve_congruence_bruteforce,
 )
+from padicdyn.congruence import _VECTOR_MIN, _prime_power_factors
 from helpers import SMALL_PRIMES, exhaustive_roots, random_int_poly
 
 
@@ -163,6 +166,54 @@ class TestBruteForceOracle:
                 assert solve_congruence_bruteforce(f, c, m) == expected
         # only the three calls at the cutoff took the numpy path
         assert vector_calls == [cutoff] * 3
+
+    @pytest.mark.parametrize(
+        "m",
+        [2**10, 3**7, 2 * 3 * 5 * 7 * 11, 30030, 55440, 7919,
+         _VECTOR_MIN - 1, _VECTOR_MIN, _VECTOR_MIN + 2],
+    )
+    def test_crt_join_matches_a_full_scan(self, m):
+        # exhaustive_roots evaluates every residue mod m and never factors m
+        rng = random.Random(73 + m)
+        for _ in range(4):
+            f = random_int_poly(rng, 4, -10**4, 10**4)
+            r = rng.randrange(m)
+            for c in (eval_mod(f, r, m), rng.randrange(-m, m)):
+                got = solve_congruence_bruteforce(f, c, m)
+                assert got == exhaustive_roots(f, c, m)
+                assert r in got or c != eval_mod(f, r, m)
+        # f - c vanishing identically mod m, as the zero polynomial does
+        g = IntPoly(tuple(m * rng.randint(-5, 5) for _ in range(4))) + 5
+        assert solve_congruence_bruteforce(g, 5 + m, m) == list(range(m))
+        assert solve_congruence_bruteforce(IntPoly(()), 0, m) == list(range(m))
+        assert solve_congruence_bruteforce(IntPoly(()), 1, m) == []
+
+    def test_factor_without_solutions_empties_the_answer(self):
+        # 2 is no square mod 3, while x^2 = 2 has solutions mod 7 and 17
+        f = IntPoly((0, 0, 1))
+        for m in (3 * 7 * 17, 7 * 17 * 3**5, 2**10 * 3 * 7 * 17):
+            assert solve_congruence_bruteforce(f, 2, m) == []
+            assert exhaustive_roots(f, 2, m) == []
+        assert solve_congruence_bruteforce(f, 2, 7 * 17) == exhaustive_roots(f, 2, 7 * 17)
+
+    def test_all_residues_through_the_vectorized_join(self):
+        m = 720720  # 2^4 * 3^2 * 5 * 7 * 11 * 13
+        assert solve_congruence_bruteforce(IntPoly(()), 0, m) == list(range(m))
+
+    def test_prime_power_factors(self):
+        rng = random.Random(79)
+        for m in list(range(2, 2000)) + [rng.randrange(2, 10**7) for _ in range(100)]:
+            factors = _prime_power_factors(m)
+            assert math.prod(factors) == m
+            assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(factors, 2))
+            for q in factors:
+                # the least divisor above 1 is prime; q must be a power of it
+                d = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+                while q % d == 0:
+                    q //= d
+                assert q == 1
+        assert _prime_power_factors(55440) == [16, 9, 5, 7, 11]
+        assert _prime_power_factors(9999991) == [9999991]
 
     def test_nontrivial_target(self):
         f = IntPoly((0, 0, 1))
