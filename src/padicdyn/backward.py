@@ -46,9 +46,8 @@ def preimages(
     prime = as_prime(p)
     if k < 1:
         raise ValueError("precision must be at least 1")
-    modulus = prime.p**k
-    target %= modulus
     roots = roots_mod_p(f, target, prime)
+    target %= prime.p**k
     lifted = sorted(
         hensel_lift(f, r.residue, k, prime, target=target).root
         for r in roots
@@ -284,6 +283,8 @@ def forward_orbit(
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     modulus = prime.p**k
+    # reduced once, so that no step carries a coefficient wider than p^k
+    f = IntPoly(tuple(c % modulus for c in f.coeffs))
     x = x0 % modulus
     terms = [x]
     first_seen = {x: 0}

@@ -11,7 +11,8 @@ flags in order, its handler and its --format choices.  build_parser()
 turns the table into subparsers, adding --allow-large to every
 subcommand with --precision and --format last.  main() runs the steps
 the subcommands share, once and in this order: parse --poly, check a
-required --prime, and cap p^k when there is a --precision.  A handler
+required --prime, and cap p^k when there is a --precision (at 2^256, or
+with --allow-large at the interpreter's digit limit).  A handler
 gets the parsed polynomial and prime, makes its one library call and
 builds the payload and the table lines.
 """
@@ -25,11 +26,11 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import backward, congruence, hensel
 from .errors import BudgetExceededError, PadicDynError
-from .padic import PadicInt, Prime, as_prime
+from .padic import Prime, as_prime
 from .parsing import parse_poly
 from .polynomial import IntPoly
 
@@ -52,25 +53,26 @@ def _parse_sequence(text: str, flag: str) -> list[int]:
         raise PadicDynError(f"{flag} must be a comma-separated list of integers")
 
 
+def _check_printable(p: int, n: int) -> None:
+    """Refuse p^n, without computing it, when it has more digits than
+    the interpreter prints (its default limit when the limit is off)."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if n * math.log10(p) > limit:
+        raise PadicDynError(
+            f"{p}^{n} has more than {limit} digits, "
+            "the interpreter's limit for printing an integer"
+        )
+
+
 def _check_modulus_size(p: int, k: int, allow_large: bool) -> None:
+    # every residue mod p^k must still print; without --allow-large,
     # p >= 2, so k above 256 exceeds the cap without computing p^k
-    if not allow_large and (k > 256 or p**k > MAX_MODULUS):
+    if allow_large:
+        _check_printable(p, k)
+    elif k > 256 or p**k > MAX_MODULUS:
         raise PadicDynError(
             f"{p}^{k} exceeds the default modulus cap 2^256; pass --allow-large"
         )
-
-
-def _degenerate(f: IntPoly, target: int, prime: Prime) -> bool:
-    """True when f - target vanishes mod p, so that every residue is a
-    root.  Listing them builds p objects, so that is refused for p above
-    the oracle's exhaustion bound."""
-    degenerate = congruence.congruence_is_identically_zero(f, target, prime)
-    if degenerate and prime.p > congruence.DEFAULT_ORACLE_BOUND:
-        raise PadicDynError(
-            f"f(x) = {target} holds for every residue mod {prime.p}; listing "
-            f"all of them is refused above {congruence.DEFAULT_ORACLE_BOUND}"
-        )
-    return degenerate
 
 
 def _root_dict(r: congruence.RootModP) -> dict:
@@ -82,8 +84,8 @@ def _root_dict(r: congruence.RootModP) -> dict:
 
 
 def _cmd_roots(args, f: IntPoly, prime: Prime) -> tuple[dict, list[str]]:
-    degenerate = _degenerate(f, args.target, prime)
     roots = congruence.roots_mod_p(f, args.target, prime)
+    degenerate = congruence.congruence_is_identically_zero(f, args.target, prime)
     payload = {
         "poly": f.coeff_list(),
         "prime": prime.p,
@@ -112,10 +114,10 @@ def _cmd_oracle(args, f: IntPoly, prime: None) -> tuple[dict, list[str]]:
     return payload, [" ".join(map(str, solutions)) if solutions else "no solutions"]
 
 
-def _cmd_lift(args, f: IntPoly, prime: Prime) -> tuple[dict, list[str]]:
+def _cmd_lift(args, f: IntPoly, prime: Prime) -> tuple[dict, Iterable[str]]:
     lifted = hensel.hensel_lift(f, args.seed, args.precision, prime, target=args.target)
     ladder = lifted.ladder
-    digits = PadicInt.from_int(lifted.root, prime, args.precision).digits
+    digits = lifted.as_padic().digits
     payload = {
         "poly": f.coeff_list(),
         "prime": prime.p,
@@ -126,15 +128,16 @@ def _cmd_lift(args, f: IntPoly, prime: Prime) -> tuple[dict, list[str]]:
         "root": lifted.root,
         "digits": list(digits),
     }
-    lines = [
-        "ladder: " + " ".join(map(str, ladder)),
-        "digits: " + " ".join(map(str, digits)),
-    ]
+    # lazy, as the ladder's k numbers of up to k digits each take as long
+    # to print again as the JSON does
+    lines = (
+        f"{name}: " + " ".join(map(str, values))
+        for name, values in (("ladder", ladder), ("digits", digits))
+    )
     return payload, lines
 
 
 def _cmd_preimages(args, f: IntPoly, prime: Prime) -> tuple[dict, list[str]]:
-    _degenerate(f, args.target, prime)
     # preimages checks the precision before the CLI computes p^k from it
     lifted, singular = backward.preimages(f, args.target, prime, args.precision)
     target = args.target % prime.p**args.precision
@@ -167,10 +170,6 @@ def _resolve_node_budget(args) -> int:
 
 
 def _cmd_tree(args, f: IntPoly, prime: Prime) -> tuple[dict, list[str]]:
-    if args.depth > 0:
-        # Only the seed can be degenerate: then f' vanishes mod p too, so
-        # every child is a singular leaf and nothing deeper is solved.
-        _degenerate(f, args.seed, prime)
     tree = backward.backward_tree(
         f, args.seed, prime, args.precision, args.depth,
         max_nodes=_resolve_node_budget(args),
@@ -221,13 +220,8 @@ def _cmd_dist(args, f: None, prime: None) -> tuple[dict, list[str]]:
         if args.prime is None:
             raise PadicDynError("--prime is required for the series metric")
         prime = as_prime(args.prime)
-        # the distance's denominator is p^(n-1); 0 means no digit limit
-        limit = sys.get_int_max_str_digits()
-        if limit and (len(s) - 1) * math.log10(prime.p) > limit:
-            raise PadicDynError(
-                f"{prime.p}^{len(s) - 1} has more than {limit} digits, "
-                "the interpreter's limit for printing an integer"
-            )
+        # the distance's denominator is p^(n-1)
+        _check_printable(prime.p, len(s) - 1)
         d: Fraction = backward.distance_series(s, t, prime)
     else:
         d = backward.distance_first_difference(s, t)
@@ -265,7 +259,7 @@ class Command:
     # flags: each flag in order, with its add_argument keywords;
     # handler(args, f, prime) returns the JSON payload and the table lines
     help: str
-    handler: Callable[..., tuple[dict, list[str]]]
+    handler: Callable[..., tuple[dict, Iterable[str]]]
     flags: dict[str, dict]
     formats: tuple[str, ...] = ("json", "table")
 

@@ -11,13 +11,18 @@ such call only, so importing this module (and the CLI) never loads it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
+from .errors import PadicDynError
 from .padic import Prime, as_prime
 from .polynomial import IntPoly, eval_mod, reduce_mod_p
 
 DEFAULT_ORACLE_BOUND = 10**7
+# The oracle refuses to list more solutions than this: 10^6 of them take
+# about 1 s to print as JSON, and the zero polynomial at m = 10^7 took 11 s.
+MAX_ORACLE_SOLUTIONS = 10**6
 
 # The first vectorized call pays numpy's import, about 165 ms on a 2-vCPU
 # x86 VM, while the plain loop at degree 2 takes 1.1 ms at m = 4095, 3.6 ms
@@ -47,16 +52,29 @@ def congruence_is_identically_zero(
     return reduce_mod_p(f - target, p).is_zero
 
 
+# roots_mod_p lists every residue when f - target vanishes mod p only up
+# to this many: the size of the default tree node budget, which this
+# module cannot import from backward.
+MAX_LISTED_RESIDUES = 10**5
+
+
 def roots_mod_p(f: IntPoly, target: int, p: Union[int, Prime]) -> list[RootModP]:
     """All residues a in [0, p) with f(a) = target (mod p), ascending,
     each classified by the derivative of f at a mod p.
 
     A reduction that vanishes identically means every residue is a
-    root.
+    root.  Listing them builds one RootModP each (about 11 us and 1 KB
+    each through the CLI), so that is refused above MAX_LISTED_RESIDUES.
     """
     prime = as_prime(p)
     q = prime.p
-    residues = reduce_mod_p(f - target, prime).roots()
+    h = reduce_mod_p(f - target, prime)
+    if h.is_zero and q > MAX_LISTED_RESIDUES:
+        raise PadicDynError(
+            f"f(x) = {target} holds for every residue mod {q}; listing "
+            f"all of them is refused above {MAX_LISTED_RESIDUES}"
+        )
+    residues = h.roots()
     deriv = f.derivative()
     out = []
     for a in residues:
@@ -147,7 +165,9 @@ def solve_congruence_bruteforce(
     x solves the congruence mod m exactly when it does so mod each
     prime-power factor q of m, so each q is scanned exhaustively and the
     residue sets are joined by CRT.  Any modulus >= 2 is accepted up to
-    `bound` (default 10^7), which keeps exhaustion tractable.
+    `bound` (default 10^7), which keeps exhaustion tractable, and more
+    than MAX_ORACLE_SOLUTIONS solutions are refused before they are
+    joined.
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")
@@ -163,4 +183,10 @@ def solve_congruence_bruteforce(
         if not residues:
             return []
         parts.append((residues, q))
+    count = math.prod(len(residues) for residues, _ in parts)
+    if count > MAX_ORACLE_SOLUTIONS:
+        raise ValueError(
+            f"{count} solutions mod {m}; listing more than "
+            f"{MAX_ORACLE_SOLUTIONS} is refused"
+        )
     return join(parts)

@@ -34,9 +34,16 @@ class LiftedRoot:
     def ladder(self) -> tuple[int, ...]:
         """(a_1, ..., a_k) with a_j = root mod p^j: each a_j solves the
         congruence mod p^j, and consecutive entries agree mod p^j.
-        Built on first access, since it costs O(k^2) digit operations."""
+        Built on first access, from the base-p digits d_i by
+        a_j = a_(j-1) + d_(j-1) p^(j-1), in O(k^2) digit operations;
+        reducing the root mod each p^j instead costs O(k^3)."""
         q = self.prime.p
-        return tuple(self.root % q**j for j in range(1, self.precision + 1))
+        rungs, a, m = [], 0, 1
+        for d in self.as_padic().digits:
+            a += d * m
+            m *= q
+            rungs.append(a)
+        return tuple(rungs)
 
     def as_padic(self) -> PadicInt:
         return PadicInt.from_int(self.root, self.prime, self.precision)

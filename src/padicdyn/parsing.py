@@ -14,14 +14,18 @@ Grammar (whitespace-insensitive):
 exponents are nonnegative integer literals capped at 10^4.  Expressions
 are expanded at parse time into canonical coefficients, so "(x+1)^2"
 yields 1 + 2x + x^2.  To keep that expansion bounded, no product or
-power may reach a degree above the same cap or a size above MAX_BITS
-(checked before it is computed), and parentheses may nest at most 100
-deep (the parser recurses once per level).
+power may reach a degree above the same cap or a size above MAX_BITS,
+the sizes of all products and powers of one parse may add up to at
+most MAX_PARSE_BITS (each checked before it is computed), and
+parentheses may nest at most 100 deep (the parser recurses once per
+level).  A sum is added into one coefficient list, so its cost follows
+the sizes of its terms.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import PolyParseError
@@ -34,6 +38,9 @@ MAX_NESTING = 100
 # (x+1)^1000, about 2^20 bits, parses in 0.17 s, (x+1)^1448 (2^21) in
 # 0.5 s and (x+1)^2000 (2^22) in 1.7 s.
 MAX_BITS = 2**20
+# Bound on the sum of those sizes over one parse; twice MAX_BITS keeps
+# (x+1)^1000 * x.
+MAX_PARSE_BITS = 2 * MAX_BITS
 
 _INT = "int"
 _X = "x"
@@ -83,26 +90,34 @@ def _log_norm(f: IntPoly) -> float:
     return math.log2(sum(map(abs, f.coeffs)) or 1)
 
 
-def _check_size(degree: int, log_norm: float, position: int) -> None:
-    """Refuse a product or power, before computing it, whose degree or
-    whose (degree + 1) * coefficient bits exceed the limits."""
-    if degree > MAX_EXPONENT:
-        raise PolyParseError(
-            f"degree {degree} exceeds the limit {MAX_EXPONENT}", position
-        )
-    bits = (degree + 1) * (int(log_norm) + 1)
-    if bits > MAX_BITS:
-        raise PolyParseError(
-            f"expanded size of about {bits} bits exceeds the limit {MAX_BITS}",
-            position,
-        )
-
-
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.nesting = 0
+        self.budget = MAX_PARSE_BITS
+
+    def charge(self, degree: int, log_norm: float, position: int) -> None:
+        """Refuse a product or power, before computing it, whose degree or
+        whose (degree + 1) * coefficient bits exceed the limits, or whose
+        bits overrun what is left of the parse's budget."""
+        if degree > MAX_EXPONENT:
+            raise PolyParseError(
+                f"degree {degree} exceeds the limit {MAX_EXPONENT}", position
+            )
+        bits = (degree + 1) * (int(log_norm) + 1)
+        if bits > MAX_BITS:
+            raise PolyParseError(
+                f"expanded size of about {bits} bits exceeds the limit {MAX_BITS}",
+                position,
+            )
+        self.budget -= bits
+        if self.budget < 0:
+            raise PolyParseError(
+                f"products and powers expand to more than {MAX_PARSE_BITS} "
+                "bits in total, the limit for one polynomial",
+                position,
+            )
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -126,15 +141,18 @@ class _Parser:
         return result
 
     def expr(self) -> IntPoly:
-        result = self.term()
+        coeffs: list[int] = []
+        add = operator.add
         while True:
+            term = self.term().coeffs
+            n = len(term)
+            coeffs += [0] * (n - len(coeffs))
+            coeffs[:n] = map(add, coeffs[:n], term)
             tok = self.peek()
-            if tok.kind == _OP and tok.text in "+-":
-                self.advance()
-                rhs = self.term()
-                result = result + rhs if tok.text == "+" else result - rhs
-            else:
-                return result
+            if not (tok.kind == _OP and tok.text in "+-"):
+                return IntPoly(tuple(coeffs))
+            self.advance()
+            add = operator.add if tok.text == "+" else operator.sub
 
     def term(self) -> IntPoly:
         result = self.factor()
@@ -147,7 +165,7 @@ class _Parser:
                 # "(x+1)(x-1)"; any other token ends the term.
                 return result
             rhs = self.factor()
-            _check_size(
+            self.charge(
                 result.degree + rhs.degree,
                 _log_norm(result) + _log_norm(rhs),
                 tok.position,
@@ -164,7 +182,8 @@ class _Parser:
                 self.advance()
             else:
                 break
-        return sign * self.power()
+        result = self.power()
+        return -result if sign < 0 else result
 
     def power(self) -> IntPoly:
         result = self.atom()
@@ -184,7 +203,7 @@ class _Parser:
                     exp.position,
                 )
             self.advance()
-            _check_size(
+            self.charge(
                 result.degree * exp.value,
                 _log_norm(result) * exp.value,
                 exp.position,

@@ -107,6 +107,9 @@ class IntPoly:
     def __pow__(self, n: int) -> "IntPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        if self.coeffs and not any(self.coeffs[:-1]):
+            # (c x^d)^n = c^n x^(dn), without the dense products below
+            return IntPoly.monomial(self.leading_coefficient**n, self.degree * n)
         result = IntPoly.constant(1)
         base = self
         while n:

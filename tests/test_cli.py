@@ -191,6 +191,49 @@ class TestLargePrime:
         jsonschema.validate(payload, SCHEMAS["error"])
         assert "every residue mod 1000000007" in payload["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "target, argv",
+        [
+            (0, ["roots", "--poly", "1000003x", "--prime", "1000003"]),
+            (5, ["preimages", "--poly", "1000003x^2+5", "--prime", "1000003",
+                 "--precision", "2", "--target", "5"]),
+        ],
+        ids=["roots", "preimages"],
+    )
+    def test_degenerate_congruence_above_the_listing_bound_is_refused(
+        self, target, argv
+    ):
+        # listing the 10^6 + 3 residues took 11 s and 1 GB
+        proc = run_python("-m", "padicdyn.cli", *argv, timeout=1)
+        assert proc.returncode == 1
+        payload = json.loads(proc.stdout)
+        jsonschema.validate(payload, SCHEMAS["error"])
+        assert payload["error"] == {
+            "type": "PadicDynError",
+            "message": f"f(x) = {target} holds for every residue mod 1000003; "
+            "listing all of them is refused above 100000",
+        }
+
+    def test_library_refuses_the_degenerate_congruence(self):
+        # each call ended in a MemoryError under the child's 2 GiB cap
+        proc = run_python("-c", (
+            "from padicdyn import *\n"
+            "p = 10**9 + 7\n"
+            "for call in (lambda: roots_mod_p(IntPoly((0, p)), 0, p),\n"
+            "             lambda: preimages(IntPoly((5, 0, p)), 5, p, 2),\n"
+            "             lambda: backward_tree(IntPoly((5, 0, p)), 5, p, 2, 2)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except PadicDynError as exc:\n"
+            "        print(exc)\n"
+        ), timeout=1)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"f(x) = {t} holds for every residue mod 1000000007; listing all "
+            "of them is refused above 100000"
+            for t in (0, 5, 5)
+        ]
+
     def test_degenerate_congruence_at_small_prime_lists_every_residue(self, capsys):
         code, payload = run_json(capsys, "roots", "--poly", "7x", "--prime", "7")
         assert code == 0
@@ -215,8 +258,83 @@ class TestParserLimits:
         jsonschema.validate(payload, SCHEMAS["error"])
         assert payload["error"]["type"] == "PolyParseError"
 
+    @pytest.mark.parametrize(
+        "poly",
+        ["+".join(["(x+1)^1000"] * 10),
+         " + ".join(f"x^{i}" for i in range(4000, 0, -1))],
+        ids=["ten-powers", "long-sum"],
+    )
+    def test_whole_parse_is_bounded(self, poly):
+        # each term is under the per-product limit; the whole parse took
+        # 1.55 s and 12.9 s
+        proc = run_python(
+            "-m", "padicdyn.cli", "roots", "--poly", poly, "--prime", "7", timeout=1
+        )
+        assert proc.returncode in (0, 1)
+        payload = json.loads(proc.stdout)
+        if proc.returncode == 1:
+            jsonschema.validate(payload, SCHEMAS["error"])
+            assert payload["error"]["type"] == "PolyParseError"
+
 
 class TestWorkLimits:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["preimages", "--poly", "x^2", "--prime", "7",
+             "--precision", "1000000007", "--target", "1"],
+            ["lift", "--poly", "x^2-2", "--prime", "7", "--precision", "20000",
+             "--seed", "3"],
+            # the payload's target, -1 mod 2^(10^7), has 3 * 10^6 digits
+            ["preimages", "--poly", "49x^2", "--prime", "2",
+             "--precision", "10000000", "--target", "-1"],
+        ],
+        ids=["preimages", "lift", "preimages-p2"],
+    )
+    def test_allow_large_stops_at_the_int_digit_limit(self, argv):
+        # the first did not finish in 10 s; the second ran for 25 s and
+        # then failed to print its ladder
+        proc = run_python("-m", "padicdyn.cli", *argv, "--allow-large", timeout=1)
+        assert proc.returncode == 1
+        payload = json.loads(proc.stdout)
+        jsonschema.validate(payload, SCHEMAS["error"])
+        assert payload["error"]["type"] == "PadicDynError"
+        p, k = argv[argv.index("--prime") + 1], argv[argv.index("--precision") + 1]
+        assert payload["error"]["message"].startswith(f"{p}^{k} has more than ")
+
+    def test_allow_large_prints_up_to_the_int_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        # 7^k has floor(k log10 7) + 1 digits, at most `limit` up to k_max;
+        # -1 mod 7^k, the orbit's one term, has as many
+        k_max = int(limit / math.log10(7))
+        argv = ["orbit", "--poly", "x", "--prime", "7", "--seed", "-1",
+                "--steps", "0", "--allow-large", "--precision"]
+        code, payload = run_json(capsys, *argv, str(k_max))
+        assert code == 0
+        assert payload["orbit"] == [7**k_max - 1]
+        assert len(str(7**k_max)) <= limit
+        code, payload = run_json(capsys, *argv, str(k_max + 1))
+        assert code == 1
+        assert payload["error"]["message"] == (
+            f"7^{k_max + 1} has more than {limit} digits, "
+            "the interpreter's limit for printing an integer"
+        )
+
+    def test_oracle_refuses_to_list_ten_million_solutions(self):
+        # every residue mod 10^7 solves it; printing them took 11 s
+        proc = run_python(
+            "-m", "padicdyn.cli", "oracle", "--poly", "0", "--modulus", "10000000",
+            timeout=1,
+        )
+        assert proc.returncode == 1
+        payload = json.loads(proc.stdout)
+        jsonschema.validate(payload, SCHEMAS["error"])
+        assert payload["error"] == {
+            "type": "ValueError",
+            "message": "10000000 solutions mod 10000000; listing more than "
+            "1000000 is refused",
+        }
+
     @pytest.mark.parametrize("precision", ["10000000", "1000000000"])
     def test_modulus_cap_refuses_without_computing_the_power(self, precision):
         # computing 7^k first took 10 s at k = 10^7 and longer at 10^9
@@ -266,11 +384,13 @@ class TestWorkLimits:
         }
 
     def test_output_past_the_int_digit_limit_is_a_domain_error(self):
-        # the target, -1 mod 2^(10^7), has about 3 * 10^6 digits; printing
-        # the payload raised outside main's try: a traceback, empty stdout
+        # printing a payload with an integer past the digit limit raised
+        # outside main's try: a traceback, empty stdout.  --allow-large now
+        # stops below that limit, so no residue mod p^k gets there, but the
+        # numerator of a series distance can: |s_0 - t_0| has 4301 digits
+        nines = "9" * 4300
         proc = run_python(
-            "-m", "padicdyn.cli", "preimages", "--poly", "49x^2", "--prime", "2",
-            "--precision", "10000000", "--target", "-1", "--allow-large",
+            "-m", "padicdyn.cli", "dist", "--s", nines, f"--t=-{nines}", "--prime", "7",
         )
         assert proc.returncode == 1
         payload = json.loads(proc.stdout)

@@ -7,13 +7,16 @@ import pytest
 
 from padicdyn import (
     IntPoly,
+    PadicDynError,
     RootModP,
     congruence_is_identically_zero,
     eval_mod,
+    preimages,
     reduce_mod_p,
     roots_mod_p,
     solve_congruence_bruteforce,
 )
+from padicdyn import congruence
 from padicdyn.congruence import _VECTOR_MIN, _prime_power_factors
 from helpers import SMALL_PRIMES, exhaustive_roots, random_int_poly
 
@@ -222,3 +225,32 @@ class TestBruteForceOracle:
     def test_zero_polynomial(self):
         assert solve_congruence_bruteforce(IntPoly(()), 0, 6) == list(range(6))
         assert solve_congruence_bruteforce(IntPoly(()), 1, 6) == []
+
+    def test_solutions_are_listed_up_to_the_limit(self, monkeypatch):
+        # the count is known before the join: x^2 = 1 has 2 solutions mod 4
+        # and 2 mod 9, so 4 mod 36
+        f = IntPoly((-1, 0, 1))
+        monkeypatch.setattr(congruence, "MAX_ORACLE_SOLUTIONS", 4)
+        assert solve_congruence_bruteforce(f, 0, 36) == [1, 17, 19, 35]
+        monkeypatch.setattr(congruence, "MAX_ORACLE_SOLUTIONS", 3)
+        with pytest.raises(ValueError, match="^4 solutions mod 36; listing more "
+                           "than 3 is refused$"):
+            solve_congruence_bruteforce(f, 0, 36)
+
+
+class TestListingBound:
+    def test_every_residue_is_listed_up_to_the_bound(self):
+        # 99991 is the largest prime below 10^5, and 100003 the next one
+        roots = roots_mod_p(IntPoly(()), 0, 99991)
+        assert [r.residue for r in roots] == list(range(99991))
+        assert all(r.singular for r in roots)
+        with pytest.raises(PadicDynError, match="^f\\(x\\) = 7 holds for every "
+                           "residue mod 100003; listing all of them is refused "
+                           "above 100000$"):
+            roots_mod_p(IntPoly((7 + 100003,)), 7, 100003)
+
+    def test_refusal_quotes_the_target_as_given(self):
+        # preimages reduces the target mod p^k only after roots_mod_p
+        p = 1000003
+        with pytest.raises(PadicDynError, match=f"^f\\(x\\) = {p**2 + 5} holds"):
+            preimages(IntPoly((5,)), p**2 + 5, p, 2)

@@ -108,6 +108,23 @@ class TestParsePoly:
         # monomials and sparse sums stay small at any degree
         assert parse_poly("(x^100 + 1)^100").degree == 10000
 
+    def test_one_budget_covers_the_whole_parse(self):
+        # (x+1)^1000 is about 2^20 bits, and the product with x as much
+        # again: together just under 2 * 2^20, which a third term overruns
+        assert parse_poly("(x+1)^1000 * x").degree == 1001
+        assert parse_poly("(x+1)^1000 + (x+1)^1000").coeffs[1] == 2000
+        for text, pos in [
+            ("(x+1)^1000 * x * x", 15),
+            ("(x+1)^1000+(x+1)^1000+(x+1)^1000", 28),
+        ]:
+            with pytest.raises(PolyParseError) as err:
+                parse_poly(text)
+            assert err.value.position == pos
+            assert "more than 2097152 bits in total" in str(err.value)
+        # sums are not charged: one coefficient list takes every term
+        assert parse_poly("+".join(["x^10000"] * 100)).coeffs[-1] == 100
+        assert parse_poly("-".join(["1"] * 3000)).coeffs == (-2998,)
+
     def test_nesting_limit(self):
         assert parse_poly("(" * 100 + "x+1" + ")" * 100).coeffs == (1, 1)
         with pytest.raises(PolyParseError) as err:
