@@ -13,8 +13,9 @@ subcommand with --precision and --format last.  main() runs the steps
 the subcommands share, once and in this order: parse --poly, check a
 required --prime, and cap p^k when there is a --precision (at 2^256, or
 with --allow-large at the interpreter's digit limit).  A handler
-gets the parsed polynomial and prime, makes its one library call and
-builds the payload and the table lines.
+gets the parsed polynomial and prime, checks the work estimate of its
+one library call (see work.py), makes the call and builds the payload
+and the table lines.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from . import backward, congruence, hensel
+from . import backward, congruence, hensel, work
 from .errors import BudgetExceededError, PadicDynError
 from .padic import Prime, as_prime
 from .parsing import parse_poly
@@ -84,6 +85,7 @@ def _root_dict(r: congruence.RootModP) -> dict:
 
 
 def _cmd_roots(args, f: IntPoly, prime: Prime) -> tuple[dict, list[str]]:
+    work.check(work.roots(f, prime.p), "root finding")
     roots = congruence.roots_mod_p(f, args.target, prime)
     degenerate = congruence.congruence_is_identically_zero(f, args.target, prime)
     payload = {
@@ -104,7 +106,12 @@ def _cmd_roots(args, f: IntPoly, prime: Prime) -> tuple[dict, list[str]]:
 
 
 def _cmd_oracle(args, f: IntPoly, prime: None) -> tuple[dict, list[str]]:
-    solutions = congruence.solve_congruence_bruteforce(f, args.target, args.modulus)
+    # a modulus over the oracle's bound is refused before any work
+    m = min(args.modulus, congruence.DEFAULT_ORACLE_BOUND)
+    work.check(work.oracle(f, m), "the oracle's scan")
+    solutions = congruence.solve_congruence_bruteforce(
+        f, args.target, args.modulus, max_solutions=work.MAX_SOLUTIONS
+    )
     payload = {
         "poly": f.coeff_list(),
         "modulus": args.modulus,
@@ -115,9 +122,9 @@ def _cmd_oracle(args, f: IntPoly, prime: None) -> tuple[dict, list[str]]:
 
 
 def _cmd_lift(args, f: IntPoly, prime: Prime) -> tuple[dict, Iterable[str]]:
+    work.check(work.ladder(f, prime.p, args.precision), "the lift and its ladder")
     lifted = hensel.hensel_lift(f, args.seed, args.precision, prime, target=args.target)
-    ladder = lifted.ladder
-    digits = lifted.as_padic().digits
+    ladder, digits = lifted.ladder, lifted.digits
     payload = {
         "poly": f.coeff_list(),
         "prime": prime.p,
@@ -138,6 +145,7 @@ def _cmd_lift(args, f: IntPoly, prime: Prime) -> tuple[dict, Iterable[str]]:
 
 
 def _cmd_preimages(args, f: IntPoly, prime: Prime) -> tuple[dict, list[str]]:
+    work.check(work.preimages(f, prime.p, args.precision), "the backward step")
     # preimages checks the precision before the CLI computes p^k from it
     lifted, singular = backward.preimages(f, args.target, prime, args.precision)
     target = args.target % prime.p**args.precision
@@ -170,14 +178,17 @@ def _resolve_node_budget(args) -> int:
 
 
 def _cmd_tree(args, f: IntPoly, prime: Prime) -> tuple[dict, list[str]]:
+    budget = _resolve_node_budget(args)
+    # a tree of depth 0 is its seed alone
+    cap = work.tree_nodes(f, prime.p, args.precision) if args.depth > 0 else budget
     tree = backward.backward_tree(
-        f, args.seed, prime, args.precision, args.depth,
-        max_nodes=_resolve_node_budget(args),
+        f, args.seed, prime, args.precision, args.depth, max_nodes=min(budget, cap)
     )
     if not tree.complete:
-        raise BudgetExceededError(
-            f"node budget exhausted after {len(tree)} nodes"
-        )
+        message = f"node budget exhausted after {len(tree)} nodes"
+        if cap < budget:
+            message += f"; the work limit allows {cap} nodes here"
+        raise BudgetExceededError(message)
     if args.format == "dot":
         return tree.to_json_dict(), [tree.to_dot().rstrip("\n")]
     lines = [
@@ -191,6 +202,7 @@ def _cmd_tree(args, f: IntPoly, prime: Prime) -> tuple[dict, list[str]]:
 def _cmd_orbit(args, f: IntPoly, prime: Prime) -> tuple[dict, list[str]]:
     if args.steps > MAX_STEPS:
         raise PadicDynError(f"--steps {args.steps} exceeds the limit {MAX_STEPS}")
+    work.check(work.orbit(f, prime.p, args.precision, args.steps), "the orbit")
     orbit = backward.forward_orbit(f, args.seed, prime, args.precision, args.steps)
     payload = {
         "poly": f.coeff_list(),

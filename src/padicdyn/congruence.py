@@ -20,9 +20,6 @@ from .padic import Prime, as_prime
 from .polynomial import IntPoly, eval_mod, reduce_mod_p
 
 DEFAULT_ORACLE_BOUND = 10**7
-# The oracle refuses to list more solutions than this: 10^6 of them take
-# about 1 s to print as JSON, and the zero polynomial at m = 10^7 took 11 s.
-MAX_ORACLE_SOLUTIONS = 10**6
 
 # The first vectorized call pays numpy's import, about 165 ms on a 2-vCPU
 # x86 VM, while the plain loop at degree 2 takes 1.1 ms at m = 4095, 3.6 ms
@@ -63,17 +60,20 @@ def roots_mod_p(f: IntPoly, target: int, p: Union[int, Prime]) -> list[RootModP]
     each classified by the derivative of f at a mod p.
 
     A reduction that vanishes identically means every residue is a
-    root.  Listing them builds one RootModP each (about 11 us and 1 KB
-    each through the CLI), so that is refused above MAX_LISTED_RESIDUES.
+    root, and a singular one: f - target = p g gives f' = p g'.  Listing
+    them builds one RootModP each (about 11 us and 1 KB each through the
+    CLI), so that is refused above MAX_LISTED_RESIDUES.
     """
     prime = as_prime(p)
     q = prime.p
     h = reduce_mod_p(f - target, prime)
-    if h.is_zero and q > MAX_LISTED_RESIDUES:
-        raise PadicDynError(
-            f"f(x) = {target} holds for every residue mod {q}; listing "
-            f"all of them is refused above {MAX_LISTED_RESIDUES}"
-        )
+    if h.is_zero:
+        if q > MAX_LISTED_RESIDUES:
+            raise PadicDynError(
+                f"f(x) = {target} holds for every residue mod {q}; listing "
+                f"all of them is refused above {MAX_LISTED_RESIDUES}"
+            )
+        return [RootModP(a, True, 0) for a in range(q)]
     residues = h.roots()
     deriv = f.derivative()
     out = []
@@ -159,15 +159,16 @@ def solve_congruence_bruteforce(
     m: int,
     *,
     bound: int = DEFAULT_ORACLE_BOUND,
+    max_solutions: int | None = None,
 ) -> list[int]:
     """All x in [0, m) with f(x) = target (mod m), sorted ascending.
 
     x solves the congruence mod m exactly when it does so mod each
     prime-power factor q of m, so each q is scanned exhaustively and the
     residue sets are joined by CRT.  Any modulus >= 2 is accepted up to
-    `bound` (default 10^7), which keeps exhaustion tractable, and more
-    than MAX_ORACLE_SOLUTIONS solutions are refused before they are
-    joined.
+    `bound` (default 10^7), which keeps exhaustion tractable.  More than
+    `max_solutions` solutions, when it is given, are refused before they
+    are joined: the zero polynomial has m of them.
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")
@@ -184,9 +185,9 @@ def solve_congruence_bruteforce(
             return []
         parts.append((residues, q))
     count = math.prod(len(residues) for residues, _ in parts)
-    if count > MAX_ORACLE_SOLUTIONS:
+    if max_solutions is not None and count > max_solutions:
         raise ValueError(
-            f"{count} solutions mod {m}; listing more than "
-            f"{MAX_ORACLE_SOLUTIONS} is refused"
+            f"{count} solutions mod {m}; listing more than {max_solutions} "
+            "is refused"
         )
     return join(parts)

@@ -24,7 +24,8 @@ class SingularRootError(PadicDynError):
 
 
 class BudgetExceededError(PadicDynError):
-    """A resource budget (tree node count) was exhausted."""
+    """A resource budget (tree node count, or the CLI's work estimate)
+    was exhausted."""
 
 
 class PolyParseError(PadicDynError):

@@ -31,22 +31,27 @@ class LiftedRoot:
     target: int
 
     @cached_property
+    def digits(self) -> tuple[int, ...]:
+        """The base-p digits (d_0, ..., d_(k-1)) of the root, built on
+        first access."""
+        return PadicInt.from_int(self.root, self.prime, self.precision).digits
+
+    @cached_property
     def ladder(self) -> tuple[int, ...]:
         """(a_1, ..., a_k) with a_j = root mod p^j: each a_j solves the
         congruence mod p^j, and consecutive entries agree mod p^j.
-        Built on first access, from the base-p digits d_i by
-        a_j = a_(j-1) + d_(j-1) p^(j-1), in O(k^2) digit operations;
-        reducing the root mod each p^j instead costs O(k^3)."""
+        Built on first access, from the digits by
+        a_j = a_(j-1) + d_(j-1) p^(j-1), in O(k^2) digit operations."""
         q = self.prime.p
         rungs, a, m = [], 0, 1
-        for d in self.as_padic().digits:
+        for d in self.digits:
             a += d * m
             m *= q
             rungs.append(a)
         return tuple(rungs)
 
     def as_padic(self) -> PadicInt:
-        return PadicInt.from_int(self.root, self.prime, self.precision)
+        return PadicInt(self.prime, self.precision, self.digits)
 
     def as_coherent_sequence(self) -> CoherentSequence:
         return CoherentSequence(self.prime, self.ladder)

@@ -79,8 +79,13 @@ class IntPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
+        # the shorter summand's coefficients into a copy of the longer's,
+        # so f - t touches one coefficient of f
+        a, b = sorted((self.coeffs, other.coeffs), key=len)
+        out = list(b)
+        for i, c in enumerate(a):
+            out[i] += c
+        return IntPoly(tuple(out))
 
     __radd__ = __add__
 

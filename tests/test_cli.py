@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 import padicdyn
-from padicdyn import cli
+from padicdyn import BudgetExceededError, IntPoly, backward, cli, work
 from padicdyn.cli import main
 from padicdyn.schemas import SCHEMAS
 
@@ -179,40 +179,23 @@ class TestLargePrime:
              "--precision", "2", "--target", "5"],
             ["tree", "--poly", "1000000007x^2+5", "--prime", "1000000007",
              "--precision", "1", "--seed", "5", "--depth", "2"],
+            # listing the 10^6 + 3 residues took 11 s and 1 GB
+            ["roots", "--poly", "1000003x", "--prime", "1000003"],
+            ["preimages", "--poly", "1000003x^2+5", "--prime", "1000003",
+             "--precision", "2", "--target", "5"],
         ],
-        ids=["roots", "preimages", "tree"],
+        ids=["roots", "preimages", "tree", "roots-1000003", "preimages-1000003"],
     )
     def test_degenerate_congruence_is_refused_at_once(self, argv):
-        # every one of the 10^9 + 7 residues is a root; listing them would
+        # every one of the p residues is a root; listing them would
         # build one object per residue
         proc = run_python("-m", "padicdyn.cli", *argv, timeout=1)
         assert proc.returncode == 1
         payload = json.loads(proc.stdout)
         jsonschema.validate(payload, SCHEMAS["error"])
-        assert "every residue mod 1000000007" in payload["error"]["message"]
-
-    @pytest.mark.parametrize(
-        "target, argv",
-        [
-            (0, ["roots", "--poly", "1000003x", "--prime", "1000003"]),
-            (5, ["preimages", "--poly", "1000003x^2+5", "--prime", "1000003",
-                 "--precision", "2", "--target", "5"]),
-        ],
-        ids=["roots", "preimages"],
-    )
-    def test_degenerate_congruence_above_the_listing_bound_is_refused(
-        self, target, argv
-    ):
-        # listing the 10^6 + 3 residues took 11 s and 1 GB
-        proc = run_python("-m", "padicdyn.cli", *argv, timeout=1)
-        assert proc.returncode == 1
-        payload = json.loads(proc.stdout)
-        jsonschema.validate(payload, SCHEMAS["error"])
-        assert payload["error"] == {
-            "type": "PadicDynError",
-            "message": f"f(x) = {target} holds for every residue mod 1000003; "
-            "listing all of them is refused above 100000",
-        }
+        p = argv[argv.index("--prime") + 1]
+        assert f"every residue mod {p}; listing all of them is refused above " \
+            "100000" in payload["error"]["message"]
 
     def test_library_refuses_the_degenerate_congruence(self):
         # each call ended in a MemoryError under the child's 2 GiB cap
@@ -233,6 +216,19 @@ class TestLargePrime:
             "of them is refused above 100000"
             for t in (0, 5, 5)
         ]
+
+    def test_library_lists_every_residue_as_singular_at_any_degree(self):
+        # f - t = p g, so f' = p g' vanishes at every residue; evaluating
+        # f' of degree 999 at each of the 99991 residues took 30 s
+        proc = run_python("-c", (
+            "from padicdyn import IntPoly, roots_mod_p\n"
+            "p = 99991\n"
+            "f = IntPoly((1,)) + IntPoly((1, 1)) ** 1000 * p + 1\n"
+            "roots = roots_mod_p(f, 2, p)\n"
+            "print(len(roots), {(r.singular, r.derivative_residue) for r in roots})\n"
+        ), timeout=2)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[0] == "99991 {(True, 0)}"
 
     def test_degenerate_congruence_at_small_prime_lists_every_residue(self, capsys):
         code, payload = run_json(capsys, "roots", "--poly", "7x", "--prime", "7")
@@ -278,6 +274,74 @@ class TestParserLimits:
 
 
 class TestWorkLimits:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["roots", "--poly", "(x+1)^1000", "--prime", "1000000007"],
+            ["oracle", "--poly", "x^10000", "--modulus", "100003"],
+            ["orbit", "--poly", "x^10000", "--prime", "99991", "--precision", "257",
+             "--seed", "2", "--steps", "257", "--allow-large"],
+            ["preimages", "--poly", "x^10000-x", "--prime", "1000000007",
+             "--precision", "256", "--target", "3", "--allow-large"],
+            ["lift", "--poly", "x^2+x", "--prime", "2", "--precision", "14284",
+             "--seed", "0", "--allow-large"],
+            ["tree", "--poly", "(x+1)^1000", "--prime", "1000000007",
+             "--precision", "1", "--seed", "0", "--depth", "1"],
+        ],
+        ids=["roots", "oracle", "orbit", "preimages", "lift", "tree"],
+    )
+    def test_call_over_the_work_limit_is_refused_at_once(self, argv):
+        # these took 5.1 s, 5.9 s, over 30 s, over 3 s, 1.7 s and over 5 s
+        proc = run_python("-m", "padicdyn.cli", *argv, timeout=1)
+        assert proc.returncode == 1
+        payload = json.loads(proc.stdout)
+        jsonschema.validate(payload, SCHEMAS["error"])
+        assert payload["error"]["type"] == "BudgetExceededError"
+        assert payload["error"]["message"].endswith(
+            f"steps of about 10 ns, over the limit of {work.MAX_WORK}"
+        )
+
+    def test_estimate_at_the_limit_is_accepted(self):
+        work.check(work.MAX_WORK, "a call")
+        with pytest.raises(BudgetExceededError, match="^a call is estimated at "
+                           "100000001 steps of about 10 ns, over the limit of "
+                           "100000000$"):
+            work.check(work.MAX_WORK + 1, "a call")
+
+    def test_default_tree_budget_stops_at_the_work_limit(self):
+        # 10^5 nodes at about 90 us each took 8.7 s
+        argv = ["tree", "--poly", "x^2", "--prime", "7", "--precision", "1",
+                "--seed", "1", "--depth", "1000000007"]
+        proc = run_python("-m", "padicdyn.cli", *argv, timeout=5)
+        assert proc.returncode == 1
+        payload = json.loads(proc.stdout)
+        cap = work.tree_nodes(IntPoly((0, 0, 1)), 7, 1)
+        assert cap < backward.DEFAULT_NODE_BUDGET
+        assert payload["error"]["type"] == "BudgetExceededError"
+        assert payload["error"]["message"].endswith(
+            f"; the work limit allows {cap} nodes here"
+        )
+
+    def test_tree_stops_at_the_smaller_budget(self, capsys, monkeypatch):
+        # x^2 from 1 mod 7 doubles at every depth, so a tree stops at an
+        # odd node count: at 39 of 40, or 29 of 30
+        f = IntPoly((0, 0, 1))
+        monkeypatch.setattr(work, "MAX_WORK", work.preimages(f, 7, 1) + 40 * (
+            work.roots(f, 7) + work.lift(f, 7, 1) + work._NODE))
+        assert work.tree_nodes(f, 7, 1) == 40
+        argv = ["tree", "--poly", "x^2", "--prime", "7", "--precision", "1",
+                "--seed", "1", "--depth", "100"]
+        code, payload = run_json(capsys, *argv)
+        assert code == 1
+        assert payload["error"]["message"] == (
+            "node budget exhausted after 39 nodes; the work limit allows 40 nodes here"
+        )
+        code, payload = run_json(capsys, *argv, "--max-nodes", "30")
+        assert payload["error"]["message"] == "node budget exhausted after 29 nodes"
+        code, payload = run_json(capsys, *argv[:-1], "5")
+        assert code == 0
+        assert payload["complete"] is True
+
     @pytest.mark.parametrize(
         "argv",
         [

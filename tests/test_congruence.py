@@ -226,16 +226,14 @@ class TestBruteForceOracle:
         assert solve_congruence_bruteforce(IntPoly(()), 0, 6) == list(range(6))
         assert solve_congruence_bruteforce(IntPoly(()), 1, 6) == []
 
-    def test_solutions_are_listed_up_to_the_limit(self, monkeypatch):
+    def test_solutions_are_listed_up_to_the_limit(self):
         # the count is known before the join: x^2 = 1 has 2 solutions mod 4
         # and 2 mod 9, so 4 mod 36
         f = IntPoly((-1, 0, 1))
-        monkeypatch.setattr(congruence, "MAX_ORACLE_SOLUTIONS", 4)
-        assert solve_congruence_bruteforce(f, 0, 36) == [1, 17, 19, 35]
-        monkeypatch.setattr(congruence, "MAX_ORACLE_SOLUTIONS", 3)
+        assert solve_congruence_bruteforce(f, 0, 36, max_solutions=4) == [1, 17, 19, 35]
         with pytest.raises(ValueError, match="^4 solutions mod 36; listing more "
                            "than 3 is refused$"):
-            solve_congruence_bruteforce(f, 0, 36)
+            solve_congruence_bruteforce(f, 0, 36, max_solutions=3)
 
 
 class TestListingBound:

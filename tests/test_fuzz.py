@@ -12,16 +12,9 @@ out or a value is malformed.  Each list runs in-process through
 - SystemExit(2), argparse's usage error.
 
 A listing of every residue at the largest prime the roots refusal
-allows takes about 1 s, hence 2 s and not 1 s.  Two kinds of input are
-kept out, because they are known to take longer and nothing bounds
-their work yet (ROADMAP item 1):
-
-- tree node budgets above 2000, the default of 10^5 included (set here
-  through PADIC_DYN_MAX_NODES): a tree costs about 90-180 us per node,
-  so 10^5 nodes take 9-18 s;
-- accepted polynomials above degree 100: root finding, the oracle scan
-  and each orbit step grow with the degree, and at degree 1000 to 10^4
-  one call takes from 5 s to over 30 s.
+allows takes about 1 s, and so does a call at the CLI's work limit,
+hence 2 s and not 1 s.  The inputs include the default tree node
+budget and accepted polynomials up to degree 10^4, dense and sparse.
 """
 
 import contextlib
@@ -42,10 +35,15 @@ RUNS = 500
 INTS = [0, 1, 2, 3, 7, 9, -1, -7, 256, 257, 99991, 100003, 1000003,
         10**7, 10**9 + 7, -(10**9 + 7)]
 PRECISIONS = [-1, 0, 1, 2, 3, 256, 257, 5000, 20000, 10**9 + 7]
-NODE_BUDGETS = [-1, 0, 1, 3, 100, 2000]
+NODE_BUDGETS = [-1, 0, 1, 3, 100, 2000, 100000]
 POLYS = [
     "0", "x", "x^2", "x^2-2", "7x", "x^7-x", "-x^3+x+1", "5x^2+10",
     "1000000007x", "1000003x^2+5", "99991x+3", "(2^1000)^1000",
+    # degree 1000 to 10^4: dense, sparse, and every coefficient
+    # divisible by 99991
+    "(x+1)^1000", "(x^2+1)^500", "x^1000+x+1", "x^10000", "x^10000-x",
+    "(x^100+1)^98(" + "+".join(f"x^{i}" for i in range(100)) + ")",
+    "99991(x+1)^1000",
     # long sums: degree 100, then the two parse-budget probes
     " + ".join(f"x^{i}" for i in range(100, 0, -1)) + " + 1",
     " + ".join(f"x^{i}" for i in range(4000, 0, -1)),
@@ -129,7 +127,8 @@ def alarm(monkeypatch):
         raise _Timeout
 
     previous = signal.signal(signal.SIGALRM, on_alarm)
-    monkeypatch.setenv(cli.ENV_MAX_NODES, str(max(NODE_BUDGETS)))
+    # an omitted --max-nodes means the default budget
+    monkeypatch.delenv(cli.ENV_MAX_NODES, raising=False)
     yield
     signal.signal(signal.SIGALRM, previous)
 
