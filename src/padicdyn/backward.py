@@ -47,7 +47,11 @@ def preimages(
     if k < 1:
         raise ValueError("precision must be at least 1")
     roots = roots_mod_p(f, target, prime)
-    target %= prime.p**k
+    modulus = prime.p**k
+    target %= modulus
+    # reduced once for all the lifts, so that none sees a coefficient
+    # wider than p^k
+    f = f.reduced(modulus)
     lifted = sorted(
         hensel_lift(f, r.residue, k, prime, target=target).root
         for r in roots
@@ -284,7 +288,7 @@ def forward_orbit(
         raise ValueError("steps must be nonnegative")
     modulus = prime.p**k
     # reduced once, so that no step carries a coefficient wider than p^k
-    f = IntPoly(tuple(c % modulus for c in f.coeffs))
+    f = f.reduced(modulus)
     x = x0 % modulus
     terms = [x]
     first_seen = {x: 0}

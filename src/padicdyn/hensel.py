@@ -1,11 +1,14 @@
 """Hensel lifting: refine a nonsingular root mod p to a root mod p^k.
 
 The lift is unique, so it is computed directly at full precision by
-Newton iteration, doubling the precision at each stage
-(p^j -> p^min(2j, k)) while f'(a)^-1 is refined alongside by the Newton
-update s <- s(2 - f'(a)s).  The intermediate residues (a_1, ..., a_k)
-form a coherent sequence; they are the terminal root reduced mod p^j,
-so the ladder is derived from the root on demand.
+Newton iteration over the precisions 2, ..., ceil(k/2), k, the halvings
+of k read bottom up, while f'(a)^-1 is refined alongside by the Newton
+update s <- s(2 - f'(a)s).  Each stage evaluates f and f' on
+coefficients reduced mod its own p^j, cut once from the stage above, so
+no stage pays for coefficients wider than its modulus.  The
+intermediate residues (a_1, ..., a_k) form a coherent sequence; they
+are the terminal root reduced mod p^j, so the ladder is derived from
+the root on demand.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Union
 
 from .errors import NotARootError, SingularRootError
 from .padic import CoherentSequence, PadicInt, Prime, as_prime
-from .polynomial import IntPoly, eval_mod
+from .polynomial import IntPoly, eval_mod, horner_mod
 
 
 @dataclass(frozen=True)
@@ -94,37 +97,57 @@ def hensel_lift(
     """Lift a nonsingular root a0 of f = target (mod p) to the unique
     root mod p^k congruent to a0 mod p.
 
-    The first stage, p -> p^2, is one hensel_step; each later stage
-    doubles the precision with the Newton update a - g(a) * s, where
-    s = g'(a)^-1 is kept correct to the current precision.  Seeds that
-    are not roots mod p, or that are singular, are rejected up front.
-    f need not be monic: only the nonsingularity of the seed is used,
-    even though the classical p-adic statement is usually phrased for
-    monic f.
+    The precisions are the halvings k, ceil(k/2), ..., 2, 1 of k, walked
+    bottom up, so each stage at most doubles the precision and the last
+    one ends at k.  g = f - target and g' are reduced mod p^k once and
+    then from each precision to the next one down, so every evaluation
+    works on numbers below its own modulus.  The stage to p^2 is one
+    hensel_step; each later stage, from p^j to p^J, is the Newton update
+    a - g(a) * s mod p^J, where s = g'(a)^-1 is kept correct mod p^j.
+    Seeds that are not roots mod p, or that are singular, are rejected
+    before any stage.  f need not be monic: only the nonsingularity of
+    the seed is used, even though the classical p-adic statement is
+    usually phrased for monic f.
     """
     prime = as_prime(p)
     q = prime.p
     if k < 1:
         raise ValueError("precision must be at least 1")
+    # the precisions 1, 2, ..., ceil(k/2), k: the halvings of k, bottom up
+    levels = [k]
+    while levels[-1] > 1:
+        levels.append((levels[-1] + 1) // 2)
+    levels.reverse()
+    # each p^j once, squaring up from p
+    moduli = [q]
+    for j, next_j in zip(levels, levels[1:]):
+        m = moduli[-1]
+        moduli.append(m * m if next_j == 2 * j else m * m // q)
+    # g = f - target and g' as coefficient lists, cut mod p^k once and
+    # then from each precision to the next one down
     g = f - target
-    dg = g.derivative()
+    g, dg = g.coeffs, g.derivative().coeffs
+    stages = []
+    for m in reversed(moduli):
+        g = [c % m for c in g]
+        dg = [c % m for c in dg]
+        stages.append((m, g, dg))
+    stages.reverse()
+    _, g, dg = stages[0]
     a = a0 % q
-    if eval_mod(g, a, q) != 0:
+    if horner_mod(g, a, q) != 0:
         raise NotARootError(f"seed {a0} is not a root of the congruence modulo {q}")
-    d = eval_mod(dg, a, q)
+    d = horner_mod(dg, a, q)
     if d == 0:
         raise SingularRootError(
             f"seed {a0} is singular mod {q}: no unique lift exists"
         )
     if k > 1:
-        a = hensel_step(g, a, 1, prime)
-        j, m = 2, q * q
+        a = hensel_step(IntPoly(tuple(stages[1][1])), a, 1, prime)
         s = pow(d, -1, q)
-        while j < k:
-            # s is g'(a)^-1 mod p^(j/2); one Newton update makes it exact
-            # mod p^j, which is all the step to p^(2j) needs.
-            s = s * (2 - eval_mod(dg, a, m) * s) % m
-            j = min(2 * j, k)
-            m = q**j
-            a = (a - eval_mod(g, a, m) * s) % m
-    return LiftedRoot(prime, a, k, f, target % q**k)
+        for (m, _, dg), (next_m, next_g, _) in zip(stages[1:], stages[2:]):
+            # s is g'(a)^-1 mod p^ceil(j/2); one Newton update makes it
+            # exact mod p^j, which is all the step to p^J, J <= 2j, needs.
+            s = s * (2 - horner_mod(dg, a, m) * s) % m
+            a = (a - horner_mod(next_g, a, next_m) * s) % next_m
+    return LiftedRoot(prime, a, k, f, target % moduli[-1])

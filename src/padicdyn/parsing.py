@@ -18,8 +18,10 @@ power may reach a degree above the same cap or a size above MAX_BITS,
 the sizes of all products and powers of one parse may add up to at
 most MAX_PARSE_BITS (each checked before it is computed), and
 parentheses may nest at most 100 deep (the parser recurses once per
-level).  A sum is added into one coefficient list, so its cost follows
-the sizes of its terms.
+level).  A product with a monomial c x^i is sized by its other factor,
+as it only scales and shifts it, so a printed term c x^i costs the bits
+of c besides the slots x^i paid for.  A sum is added into one
+coefficient list, so its cost follows the sizes of its terms.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from .polynomial import IntPoly
 
 MAX_EXPONENT = 10_000
 MAX_NESTING = 100
-# Bound on (degree + 1) * coefficient bits of a product or power.  The
+# Bound on coefficient slots * coefficient bits of a product or power,
+# with degree + 1 slots unless a factor is a monomial.  The
 # schoolbook product grows faster than the result: on a 2-vCPU x86 VM
 # (x+1)^1000, about 2^20 bits, parses in 0.17 s, (x+1)^1448 (2^21) in
 # 0.5 s and (x+1)^2000 (2^22) in 1.7 s.
@@ -90,6 +93,13 @@ def _log_norm(f: IntPoly) -> float:
     return math.log2(sum(map(abs, f.coeffs)) or 1)
 
 
+def _spread(f: IntPoly) -> int:
+    """What f adds to the slots of a product it is a factor of: its
+    degree, or nothing for a monomial c x^i, which only scales and
+    shifts the other factor (the power x^i paid for its slots)."""
+    return 0 if f.is_monomial else f.degree
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -97,15 +107,16 @@ class _Parser:
         self.nesting = 0
         self.budget = MAX_PARSE_BITS
 
-    def charge(self, degree: int, log_norm: float, position: int) -> None:
+    def charge(self, degree: int, slots: int, log_norm: float, position: int) -> None:
         """Refuse a product or power, before computing it, whose degree or
-        whose (degree + 1) * coefficient bits exceed the limits, or whose
-        bits overrun what is left of the parse's budget."""
+        whose size, the coefficient slots it computes times their bits,
+        exceed the limits, or whose size overruns what is left of the
+        parse's budget."""
         if degree > MAX_EXPONENT:
             raise PolyParseError(
                 f"degree {degree} exceeds the limit {MAX_EXPONENT}", position
             )
-        bits = (degree + 1) * (int(log_norm) + 1)
+        bits = slots * (int(log_norm) + 1)
         if bits > MAX_BITS:
             raise PolyParseError(
                 f"expanded size of about {bits} bits exceeds the limit {MAX_BITS}",
@@ -167,6 +178,7 @@ class _Parser:
             rhs = self.factor()
             self.charge(
                 result.degree + rhs.degree,
+                _spread(result) + _spread(rhs) + 1,
                 _log_norm(result) + _log_norm(rhs),
                 tok.position,
             )
@@ -205,6 +217,7 @@ class _Parser:
             self.advance()
             self.charge(
                 result.degree * exp.value,
+                result.degree * exp.value + 1,
                 _log_norm(result) * exp.value,
                 exp.position,
             )

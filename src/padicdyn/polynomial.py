@@ -53,6 +53,11 @@ class IntPoly:
         return not self.coeffs
 
     @property
+    def is_monomial(self) -> bool:
+        """Whether f is c x^d with c != 0: one nonzero coefficient."""
+        return bool(self.coeffs) and not any(self.coeffs[:-1])
+
+    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
@@ -105,6 +110,11 @@ class IntPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        for mono, rest in ((self, other), (other, self)):
+            if mono.is_monomial:
+                # c x^d * g shifts c * g, without the dense product below
+                c = mono.leading_coefficient
+                return IntPoly((0,) * mono.degree + tuple(c * b for b in rest.coeffs))
         return IntPoly(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
@@ -112,7 +122,7 @@ class IntPoly:
     def __pow__(self, n: int) -> "IntPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        if self.coeffs and not any(self.coeffs[:-1]):
+        if self.is_monomial:
             # (c x^d)^n = c^n x^(dn), without the dense products below
             return IntPoly.monomial(self.leading_coefficient**n, self.degree * n)
         result = IntPoly.constant(1)
@@ -131,6 +141,10 @@ class IntPoly:
             total = total * x + c
         return total
 
+    def reduced(self, m: int) -> "IntPoly":
+        """The coefficients reduced into [0, m)."""
+        return IntPoly(tuple(c % m for c in self.coeffs))
+
     def derivative(self) -> "IntPoly":
         """Formal derivative sum(i * c_i * x^(i-1))."""
         return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
@@ -143,9 +157,14 @@ def eval_mod(f: IntPoly, x: int, m: int) -> int:
     """f(x) mod m by Horner's rule, every intermediate reduced mod m."""
     if m < 2:
         raise ValueError("modulus must be at least 2")
-    x %= m
+    return horner_mod(f.coeffs, x % m, m)
+
+
+def horner_mod(coeffs: Sequence[int], x: int, m: int) -> int:
+    """The polynomial with these coefficients, constant first, at x mod m
+    by Horner's rule: eval_mod without building an IntPoly."""
     total = 0
-    for c in reversed(f.coeffs):
+    for c in reversed(coeffs):
         total = (total * x + c) % m
     return total
 

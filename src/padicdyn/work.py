@@ -55,8 +55,11 @@ def roots(f: IntPoly, p: int) -> int:
 
 def lift(f: IntPoly, p: int, k: int) -> int:
     """hensel_lift to p^k: g = f - t and its derivative, about 3 us per
-    coefficient; then per Newton stage about 10 us and two evaluations,
-    mod p^j with j doubling up to k."""
+    coefficient; then per Newton stage about 10 us and two evaluations.
+    The stages run at the halvings 2, ..., ceil(k/2), k of k on
+    coefficients reduced mod each p^j; the estimate charges the doubling
+    2, 4, ..., k instead, at least as large stage for stage, and f's
+    coefficients as given, which the lift reduces mod p^k first."""
     steps = 300 * (f.degree + 1)
     for j in range(k.bit_length() + 1):
         steps += 1000 + 2 * _evaluation(f, p, min(2**j, k))

@@ -59,6 +59,17 @@ class TestPreimages:
             residues = [v % p for v in lifted] + [r.residue for r in singular]
             assert len(residues) == len(set(residues))
 
+    def test_coefficients_matter_only_mod_p_to_the_k(self):
+        # preimages reduces f mod p^k before lifting: adding p^k * h, with
+        # h's coefficients far wider than p^k, changes nothing
+        rng = random.Random(97)
+        for _ in range(100):
+            f, _, p, k, _ = random_tree_inputs(rng)
+            k += rng.randint(0, 6)
+            target = rng.randrange(-(p ** (2 * k)), p ** (2 * k))
+            h = random_int_poly(rng, 5, -(p ** (3 * k)), p ** (3 * k))
+            assert preimages(f + p**k * h, target, p, k) == preimages(f, target, p, k)
+
     @pytest.mark.parametrize("k", [0, -1])
     def test_precision_below_one_rejected(self, k):
         # p^-1 is a float; the check has to come before it is formed

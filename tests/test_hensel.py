@@ -190,3 +190,72 @@ class TestHenselLift:
         # 2x - 1 has the nonsingular root 3 mod 5: 2*3 = 6 = 1
         lifted = hensel_lift(IntPoly((-1, 2)), 3, 3, 5)
         assert eval_mod(IntPoly((-1, 2)), lifted.root, 125) == 0
+
+
+WIDE_PRIMES = [2, 3, 7, 257]
+# the edges of the halving schedule: k = 2^n, 2^n + 1 and their neighbours
+WIDE_PRECISIONS = [2, 3, 4, 5, 8, 9, 16, 17, 33]
+
+
+def wide_translated_power(rng, p, k):
+    """(f, t, r): f = (x + a)^e - a with a near p^(2k), so that every
+    coefficient is much wider than p^k, and t = f(r) with r a
+    nonsingular root of f = t mod p."""
+    e = rng.choice([e for e in (2, 3, 5) if e % p])
+    a = p ** (2 * k) - rng.randrange(1, p**k)
+    f = IntPoly((a, 1)) ** e - a
+    r = rng.randrange(p ** (2 * k))
+    while (r + a) % p == 0:
+        r += 1
+    return f, f(r), r
+
+
+class TestWideCoefficients:
+    @pytest.mark.parametrize("p", WIDE_PRIMES)
+    def test_matches_iterated_steps_and_oracle(self, p):
+        rng = random.Random(1000 + p)
+        for k in WIDE_PRECISIONS:
+            for _ in range(3):
+                f, t, r = wide_translated_power(rng, p, k)
+                assert min(map(abs, f.coeffs[:-1])) > p ** (2 * k - 1)
+                ladder = [r % p]
+                for j in range(1, k):
+                    ladder.append(hensel_step(f - t, ladder[-1], j, p))
+                lifted = hensel_lift(f, r, k, p, target=t)
+                assert lifted.root == ladder[-1] == r % p**k
+                assert lifted.ladder == tuple(ladder)
+                if p**k <= 10**6:
+                    matching = [
+                        x
+                        for x in solve_congruence_bruteforce(f, t, p**k)
+                        if x % p == r % p
+                    ]
+                    assert matching == [lifted.root]
+
+    def test_one_hensel_step_per_lift(self, monkeypatch):
+        from padicdyn import hensel
+
+        calls = []
+        step = hensel.hensel_step
+
+        def counted(*args):
+            calls.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(hensel, "hensel_step", counted)
+        rng = random.Random(1100)
+        for p in WIDE_PRIMES:
+            for k in [1] + WIDE_PRECISIONS:
+                f, t, r = wide_translated_power(rng, p, k)
+                calls.clear()
+                assert hensel.hensel_lift(f, r, k, p, target=t).root == r % p**k
+                assert len(calls) == (k >= 2)
+
+    def test_lift_carries_the_callers_polynomial_and_target(self):
+        rng = random.Random(1200)
+        for p in WIDE_PRIMES:
+            f, t, r = wide_translated_power(rng, p, 9)
+            lifted = hensel_lift(f, r, 9, p, target=t)
+            assert lifted.polynomial is f
+            assert lifted.target == t % p**9
+            assert eval_mod(lifted.polynomial, lifted.root, p**9) == lifted.target

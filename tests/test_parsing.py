@@ -148,3 +148,29 @@ class TestParsePoly:
             IntPoly((1, -1, 1, -1)),
         ]:
             assert parse_poly(format_poly(f)) == f
+
+    @pytest.mark.parametrize("text", ["(x+1)^300", "(x+1)^1000"])
+    def test_round_trip_of_dense_powers(self, text):
+        # each printed term c x^i is charged the bits of c, not a dense
+        # (i + 1) * bits(c) product, so the expanded form parses again
+        f = parse_poly(text)
+        assert parse_poly(format_poly(f)) == f
+
+    def test_round_trip_dense_wide_coefficients(self):
+        rng = random.Random(300)
+        coeffs = [rng.randrange(-(2**200), 2**200) for _ in range(301)]
+        coeffs[-1] = 2**199 + 1
+        f = IntPoly(tuple(coeffs))
+        assert f.degree == 300
+        assert parse_poly(format_poly(f)) == f
+
+    def test_products_with_monomials_are_charged_by_the_other_factor(self):
+        f = parse_poly("(x+1)^1000")
+        assert parse_poly("(x+1)^1000 * x^5000") == IntPoly((0,) * 5000 + f.coeffs)
+        assert parse_poly("x^5000 (x+1)^1000") == IntPoly((0,) * 5000 + f.coeffs)
+        assert parse_poly("3x^2 * 5x^3").coeffs == (0, 0, 0, 0, 0, 15)
+        # the slots of each x^i are still paid: the 27 KB sum
+        # x^4000 + ... + x is refused as a whole
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(" + ".join(f"x^{i}" for i in range(4000, 0, -1)))
+        assert "more than 2097152 bits in total" in str(err.value)
