@@ -8,6 +8,8 @@ COLUMNS=80.  An intentional output change is re-recorded with
     PYTHONPATH=src python tests/test_golden.py
 
 and the diff of the JSON file shows what changed.
+
+Each case is named by its index in CASES, so a new case goes at the end.
 """
 
 import io
@@ -40,22 +42,12 @@ CASES = [
     ["lift", "--poly", "3x^3-x+5", "--prime", "11", "--precision", "40",
      "--seed", "2", "--target", "-6", "--format", "table"],
     ["lift", "--poly", "x^2", "--prime", "5", "--precision", "3", "--seed", "0"],
-    # translated powers whose constant is wider than p^k
-    ["lift", "--poly",
-     "(x+123456789012345678901234567890123456789012345678901234567)^3"
-     "-123456789012345678901234567890123456789012345678901234567",
-     "--prime", "7", "--precision", "33", "--seed", "3"],
     ["preimages", "--poly", "x^3-x^2", "--prime", "5", "--precision", "3",
      "--target", "0"],
     ["preimages", "--poly", "x^3-x^2", "--prime", "5", "--precision", "3",
      "--target", "0", "--format", "table"],
     ["preimages", "--poly", "x^2+1", "--prime", "3", "--precision", "4",
      "--target", "5"],
-    ["preimages", "--poly",
-     "(x+98765432109876543210987654321098765432109876543210987654321098765432"
-     "109876543210987654321)^2-9876543210987654321098765432109876543210987654"
-     "3210987654321098765432109876543210987654321",
-     "--prime", "257", "--precision", "17", "--target", "9"],
     ["tree", "--poly", "x^2", "--prime", "7", "--precision", "1", "--seed", "2",
      "--depth", "2"],
     ["tree", "--poly", "x^3-x^2", "--prime", "5", "--precision", "2",
@@ -82,6 +74,16 @@ CASES = [
     ["--help"],
     *[[cmd, "--help"] for cmd in
       ["roots", "oracle", "lift", "preimages", "tree", "orbit", "dist"]],
+    # translated powers whose constant is wider than p^k
+    ["lift", "--poly",
+     "(x+123456789012345678901234567890123456789012345678901234567)^3"
+     "-123456789012345678901234567890123456789012345678901234567",
+     "--prime", "7", "--precision", "33", "--seed", "3"],
+    ["preimages", "--poly",
+     "(x+98765432109876543210987654321098765432109876543210987654321098765432"
+     "109876543210987654321)^2-9876543210987654321098765432109876543210987654"
+     "3210987654321098765432109876543210987654321",
+     "--prime", "257", "--precision", "17", "--target", "9"],
 ]
 
 
