@@ -47,16 +47,14 @@ def preimages(
     if k < 1:
         raise ValueError("precision must be at least 1")
     roots = roots_mod_p(f, target, prime)
+    seeds = [r.residue for r in roots if not r.singular]
     modulus = prime.p**k
     target %= modulus
-    # reduced once for all the lifts, so that none sees a coefficient
-    # wider than p^k
-    f = f.reduced(modulus)
-    lifted = sorted(
-        hensel_lift(f, r.residue, k, prime, target=target).root
-        for r in roots
-        if not r.singular
-    )
+    if seeds:
+        # reduced once for all the lifts, so that none sees a coefficient
+        # wider than p^k
+        f = f.reduced(modulus)
+    lifted = sorted(hensel_lift(f, a, k, prime, target=target).root for a in seeds)
     singular = [r for r in roots if r.singular]
     return lifted, singular
 

@@ -19,9 +19,12 @@ the sizes of all products and powers of one parse may add up to at
 most MAX_PARSE_BITS (each checked before it is computed), and
 parentheses may nest at most 100 deep (the parser recurses once per
 level).  A product with a monomial c x^i is sized by its other factor,
-as it only scales and shifts it, so a printed term c x^i costs the bits
-of c besides the slots x^i paid for.  A sum is added into one
-coefficient list, so its cost follows the sizes of its terms.
+as it only scales and shifts it, but at least one bit per slot of the
+result, for the list work of building it; so a printed term c x^i costs
+about i + bits(c) besides the slots x^i paid for, and a chain of
+products with 1 still pays for the slots it copies each time.  A sum is
+added into one coefficient list, so its cost follows the sizes of its
+terms.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from .polynomial import IntPoly
 MAX_EXPONENT = 10_000
 MAX_NESTING = 100
 # Bound on coefficient slots * coefficient bits of a product or power,
-# with degree + 1 slots unless a factor is a monomial.  The
+# with degree + 1 slots unless a factor is a monomial, and never below
+# degree + 1.  The
 # schoolbook product grows faster than the result: on a 2-vCPU x86 VM
 # (x+1)^1000, about 2^20 bits, parses in 0.17 s, (x+1)^1448 (2^21) in
 # 0.5 s and (x+1)^2000 (2^22) in 1.7 s.
@@ -94,10 +98,11 @@ def _log_norm(f: IntPoly) -> float:
 
 
 def _spread(f: IntPoly) -> int:
-    """What f adds to the slots of a product it is a factor of: its
-    degree, or nothing for a monomial c x^i, which only scales and
-    shifts the other factor (the power x^i paid for its slots)."""
-    return 0 if f.is_monomial else f.degree
+    """What f adds to the coefficient slots a product with it computes:
+    its degree, or nothing for a monomial c x^i, which only scales and
+    shifts the other factor (the power x^i paid for its slots), or for
+    the zero polynomial."""
+    return 0 if f.is_monomial else max(f.degree, 0)
 
 
 class _Parser:
@@ -109,14 +114,15 @@ class _Parser:
 
     def charge(self, degree: int, slots: int, log_norm: float, position: int) -> None:
         """Refuse a product or power, before computing it, whose degree or
-        whose size, the coefficient slots it computes times their bits,
-        exceed the limits, or whose size overruns what is left of the
-        parse's budget."""
+        whose size exceed the limits, or whose size overruns what is left
+        of the parse's budget.  The size is the coefficient slots it
+        computes times their bits, but at least one bit for each of the
+        degree + 1 slots of the result, which is built and scanned."""
         if degree > MAX_EXPONENT:
             raise PolyParseError(
                 f"degree {degree} exceeds the limit {MAX_EXPONENT}", position
             )
-        bits = slots * (int(log_norm) + 1)
+        bits = max(degree + 1, slots * (int(log_norm) + 1))
         if bits > MAX_BITS:
             raise PolyParseError(
                 f"expanded size of about {bits} bits exceeds the limit {MAX_BITS}",

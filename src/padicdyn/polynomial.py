@@ -110,12 +110,10 @@ class IntPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        for mono, rest in ((self, other), (other, self)):
-            if mono.is_monomial:
-                # c x^d * g shifts c * g, without the dense product below
-                c = mono.leading_coefficient
-                return IntPoly((0,) * mono.degree + tuple(c * b for b in rest.coeffs))
-        return IntPoly(_mul(self.coeffs, other.coeffs))
+        # _mul skips the zeros of its first operand, so a monomial there
+        # costs one pass over the other factor
+        a, b = (other, self) if other.is_monomial else (self, other)
+        return IntPoly(_mul(a.coeffs, b.coeffs))
 
     __rmul__ = __mul__
 

@@ -257,12 +257,16 @@ class TestParserLimits:
     @pytest.mark.parametrize(
         "poly",
         ["+".join(["(x+1)^1000"] * 10),
-         " + ".join(f"x^{i}" for i in range(4000, 0, -1))],
-        ids=["ten-powers", "long-sum"],
+         " + ".join(f"x^{i}" for i in range(4000, 0, -1)),
+         "x^9999" + "*1" * 3000,
+         "x^9999" + "(1)" * 3000],
+        ids=["ten-powers", "long-sum", "chain", "implicit-chain"],
     )
     def test_whole_parse_is_bounded(self, poly):
         # each term is under the per-product limit; the whole parse took
-        # 1.55 s and 12.9 s
+        # 1.55 s and 12.9 s, and a chain of products with 1, each copying
+        # the 10^4 slots of x^9999, about 5 s when a product with a
+        # monomial was charged by the other factor alone
         proc = run_python(
             "-m", "padicdyn.cli", "roots", "--poly", poly, "--prime", "7", timeout=1
         )

@@ -44,11 +44,12 @@ POLYS = [
     "(x+1)^1000", "(x^2+1)^500", "x^1000+x+1", "x^10000", "x^10000-x",
     "(x^100+1)^98(" + "+".join(f"x^{i}" for i in range(100)) + ")",
     "99991(x+1)^1000",
-    # long sums: degree 100, then the two parse-budget probes
+    # long sums and chains: degree 100, then the parse-budget probes
     " + ".join(f"x^{i}" for i in range(100, 0, -1)) + " + 1",
     " + ".join(f"x^{i}" for i in range(4000, 0, -1)),
     "+".join(["(x+1)^1000"] * 10),
     "+".join(["1"] * 3000),
+    "x^9999" + "*1" * 3000,
     "-" * 1000 + "x",
     # deep nesting, at and past the limit
     "(" * 100 + "x+1" + ")" * 100,

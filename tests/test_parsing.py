@@ -174,3 +174,11 @@ class TestParsePoly:
         with pytest.raises(PolyParseError) as err:
             parse_poly(" + ".join(f"x^{i}" for i in range(4000, 0, -1)))
         assert "more than 2097152 bits in total" in str(err.value)
+
+    def test_products_with_monomials_pay_for_the_slots_they_copy(self):
+        # each product with 1 copies the 10^4 slots of x^9999, so it is
+        # charged 10^4 bits and the chain is refused after about 209
+        with pytest.raises(PolyParseError) as err:
+            parse_poly("x^9999" + "*1" * 300)
+        assert "more than 2097152 bits in total" in str(err.value)
+        assert parse_poly("x^9999" + "*1" * 200) == IntPoly.monomial(1, 9999)
