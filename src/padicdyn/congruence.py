@@ -7,6 +7,9 @@ cross-check used throughout the test suite: it is exhaustive per
 prime-power factor, joined by CRT, and calls no root finder or lifter.
 It evaluates large moduli with numpy, which is imported on the first
 such call only, so importing this module (and the CLI) never loads it.
+The numpy scan runs Horner's rule in int64 and reduces mod the factor
+only before a step that an exact bound says could pass 2^63 - 1, and
+once at the end; the plain loop reduces at every step.
 """
 
 from __future__ import annotations
@@ -21,12 +24,14 @@ from .polynomial import IntPoly, eval_mod, reduce_mod_p
 
 DEFAULT_ORACLE_BOUND = 10**7
 
-# The first vectorized call pays numpy's import, about 165 ms on a 2-vCPU
-# x86 VM, while the plain loop at degree 2 takes 1.1 ms at m = 4095, 3.6 ms
-# at m = 9999 and 25 ms at m = 2^16.  A one-shot process therefore comes
-# out ahead without numpy up to m of about 4 * 10^5; 2^16 keeps the loop
-# well under the import's cost even at higher degree.  Above _VECTOR_MAX
-# int64 products overflow.
+# The first vectorized call pays numpy's import, about 150 ms on a 2-vCPU
+# x86 VM, while the plain loop, which reduces mod m at every step, takes
+# 1.1 ms at m = 4095, 2.7 ms at m = 9999 and 18 ms at m = 2^16 at degree 2
+# (31 ms at degree 4).  A one-shot process therefore comes out ahead
+# without numpy up to m of about 4 * 10^5; 2^16 keeps the loop well under
+# the import's cost even at higher degree.  The numpy scan reduces only
+# where int64 could overflow, which needs (m - 1)^2 + (m - 1) < 2^63 right
+# after a reduction; _VECTOR_MAX = 2^31 keeps that below m^2 <= 2^62.
 _VECTOR_MIN = 2**16
 _VECTOR_MAX = 2**31
 
@@ -84,6 +89,9 @@ def roots_mod_p(f: IntPoly, target: int, p: Union[int, Prime]) -> list[RootModP]
 
 
 def _bruteforce_python(coeffs: list[int], target: int, m: int) -> list[int]:
+    # Reducing at every step keeps each value within CPython's fast path
+    # for small ints; the numpy scan's delayed reduction, tried in this
+    # loop, ran up to 1.2x slower on the multi-digit ints it makes.
     hits = []
     rev = coeffs[::-1]
     for x in range(m):
@@ -95,16 +103,35 @@ def _bruteforce_python(coeffs: list[int], target: int, m: int) -> list[int]:
     return hits
 
 
+_INT64_MAX = 2**63 - 1
+
+
 def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
-    # Horner over the whole range at once, in place; coefficients already
-    # reduced mod m <= 2^31 keep every intermediate product inside int64.
+    # Horner over the whole range at once, in place, reducing mod m only
+    # where a step could overflow int64.  Coefficients and target are
+    # already reduced into [0, m) and xs >= 0, so acc never goes negative
+    # and `bound`, an exact upper bound on its entries, decides.  acc is
+    # seeded with the first product, lead * x, rather than a constant
+    # array (a constant is padded with a zero lead); the first two steps
+    # stay below m^2 and never need a reduction.
     import numpy as np
 
+    lead, first, *rest = (coeffs + [0] * (2 - len(coeffs)))[::-1]
     xs = np.arange(m, dtype=np.int64)
-    acc = np.full(m, coeffs[-1] if coeffs else 0, dtype=np.int64)
-    for c in reversed(coeffs[:-1]):
+    acc = xs * lead
+    acc += first
+    bound = lead * (m - 1) + first
+    for c in rest:
+        # Overflow invariant: after a reduction acc <= m - 1, and the step
+        # after it reaches at most (m - 1)^2 + (m - 1) < m^2 <= 2^62 for
+        # m <= _VECTOR_MAX = 2^31, so a step that follows one always fits.
+        if bound * (m - 1) + c > _INT64_MAX:
+            np.remainder(acc, m, out=acc)
+            bound = m - 1
         np.multiply(acc, xs, out=acc)
         acc += c
+        bound = bound * (m - 1) + c
+    if bound >= m:
         np.remainder(acc, m, out=acc)
     return np.flatnonzero(acc == target).tolist()
 

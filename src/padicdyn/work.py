@@ -10,8 +10,14 @@ limits: a caller may ask it for as long a computation as it likes.
 
 Work is counted in steps of about 10 ns.  Each estimate takes the
 leading terms of its algorithm, fitted on a 2-vCPU x86 VM (Python 3.11)
-and rounded up, so the estimate is above the measured time by up to 3x
-(a sparse f, a lucky root count) and below it by at most about 1.5x.
+and rounded up, so that it is at or above the measured time.  Over
+1300 timed lifts (primes of 3 to 127 bits, p^k up to 2^16 bits, degree
+1 to 40, small, full-width and 2^14-bit coefficients) lift is at most
+4.6x above and 1.6x in the median; the oracle's scan is 1.4x to 3.2x
+above.  roots is the exception: it predates the current root finder and
+falls 2x to 10x below its time (x^2 + 3 at p = 40009: 53 us against
+475 us), so preimages, which adds it, can fall below its time too when
+the root finding outweighs the lifts.
 """
 
 from __future__ import annotations
@@ -53,22 +59,53 @@ def roots(f: IntPoly, p: int) -> int:
     return 20 * e * (p.bit_length() * e + f.degree) + _evaluation(f, p, 1)
 
 
-def lift(f: IntPoly, p: int, k: int) -> int:
-    """hensel_lift to p^k: g = f - t and its derivative, about 3 us per
-    coefficient; then per Newton stage about 10 us and two evaluations.
-    The stages run at the halvings 2, ..., ceil(k/2), k of k on
-    coefficients reduced mod each p^j; the estimate charges the doubling
-    2, 4, ..., k instead, at least as large stage for stage, and f's
-    coefficients as given, which the lift reduces mod p^k first."""
-    steps = 300 * (f.degree + 1)
-    for j in range(k.bit_length() + 1):
-        steps += 1000 + 2 * _evaluation(f, p, min(2**j, k))
+def _excess(f: IntPoly, bits: int) -> int:
+    """Cutting f's coefficients mod a `bits`-bit modulus, beyond what it
+    costs for coefficients already below it: a schoolbook long division,
+    about 3.3 ns per 30-bit digit of quotient per digit of divisor, with
+    up to 2^20 bits of quotient, as the parser allows."""
+    divisor = bits // 30 + 10
+    return sum(max(c.bit_length() - bits, 0) // 30 * divisor // 3 for c in f.coeffs)
+
+
+def _newton(f: IntPoly, p: int, k: int) -> int:
+    """hensel_lift to p^k on coefficients already below p^k.
+
+    Building g = f - t and g' and cutting them mod p^k costs about 17 us,
+    and 3 us and a pass over two coefficients of p^k per coefficient; the
+    step to p^2 about 35 us.  Each Newton stage, at the halvings k,
+    ceil(k/2), ..., 2 of k, costs about 5 us, one _int_op at its own
+    precision per multiply of Horner's rule on g, and 5/8 of one more for
+    g' and for cutting g and g' from the precision above.  A lead within
+    a machine word makes the first of the d multiplies nearly free, as a
+    linear f with small coefficients shows most.
+    """
+    bits = p.bit_length()
+    full = max(f.degree - (0 <= f.leading_coefficient < 2**64), 0)
+    steps = 1700 + (f.degree + 1) * (300 + (k * bits // 30 + 10) // 2)
+    if k > 1:
+        steps += 3500
+    j = k
+    while j > 1:
+        op = _int_op(j * bits)
+        steps += 500 + full * op + op * 5 // 8
+        j = (j + 1) // 2
     return steps
 
 
+def lift(f: IntPoly, p: int, k: int) -> int:
+    # g = f - t and g' are cut mod p^k from f's coefficients as given
+    return 2 * _excess(f, k * p.bit_length()) + _newton(f, p, k)
+
+
 def preimages(f: IntPoly, p: int, k: int) -> int:
-    # a root finding, then a lift of each of at most min(d, p) roots
-    return roots(f, p) + min(f.degree, p) * lift(f, p, k)
+    # a root finding, f cut mod p^k once, then a lift of each of at most
+    # min(d, p) roots on the cut coefficients
+    return (
+        roots(f, p)
+        + _excess(f, k * p.bit_length())
+        + min(f.degree, p) * _newton(f, p, k)
+    )
 
 
 def ladder(f: IntPoly, p: int, k: int) -> int:
@@ -84,10 +121,14 @@ def orbit(f: IntPoly, p: int, k: int, steps: int) -> int:
 
 def oracle(f: IntPoly, m: int) -> int:
     """The scan evaluates f at each residue mod each prime-power factor
-    of m, at most m in all: about 140 ns per coefficient in the plain
-    loop, and vectorized 6-14 ns with numpy's import and the join."""
-    per_coefficient = 14 if m < _VECTOR_MIN else 2
-    return per_coefficient * m * max(f.degree + 1, 1)
+    of m, at most m in all: about 100 ns per residue and 160 ns per
+    coefficient in the plain loop, and vectorized 10 ns and 10 ns, as
+    the scan reduces mod m only where int64 could overflow (numpy's
+    import, about 0.15 s, is left to the limit's margin)."""
+    terms = max(f.degree + 1, 1)
+    if m < _VECTOR_MIN:
+        return m * (10 + 16 * terms)
+    return m * (1 + terms)
 
 
 def tree_nodes(f: IntPoly, p: int, k: int) -> int:
