@@ -110,18 +110,14 @@ def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
     # Horner over the whole range at once, in place, reducing mod m only
     # where a step could overflow int64.  Coefficients and target are
     # already reduced into [0, m) and xs >= 0, so acc never goes negative
-    # and `bound`, an exact upper bound on its entries, decides.  acc is
-    # seeded with the first product, lead * x, rather than a constant
-    # array (a constant is padded with a zero lead); the first two steps
-    # stay below m^2 and never need a reduction.
+    # and `bound`, an exact upper bound on its entries, decides.
     import numpy as np
 
-    lead, first, *rest = (coeffs + [0] * (2 - len(coeffs)))[::-1]
+    lead = coeffs[-1] if coeffs else 0
     xs = np.arange(m, dtype=np.int64)
-    acc = xs * lead
-    acc += first
-    bound = lead * (m - 1) + first
-    for c in rest:
+    acc = np.full(m, lead, dtype=np.int64)
+    bound = lead
+    for c in reversed(coeffs[:-1]):
         # Overflow invariant: after a reduction acc <= m - 1, and the step
         # after it reaches at most (m - 1)^2 + (m - 1) < m^2 <= 2^62 for
         # m <= _VECTOR_MAX = 2^31, so a step that follows one always fits.

@@ -11,13 +11,15 @@ limits: a caller may ask it for as long a computation as it likes.
 Work is counted in steps of about 10 ns.  Each estimate takes the
 leading terms of its algorithm, fitted on a 2-vCPU x86 VM (Python 3.11)
 and rounded up, so that it is at or above the measured time.  Over
-1300 timed lifts (primes of 3 to 127 bits, p^k up to 2^16 bits, degree
-1 to 40, small, full-width and 2^14-bit coefficients) lift is at most
-4.6x above and 1.6x in the median; the oracle's scan is 1.4x to 3.2x
-above.  roots is the exception: it predates the current root finder and
-falls 2x to 10x below its time (x^2 + 3 at p = 40009: 53 us against
-475 us), so preimages, which adds it, can fall below its time too when
-the root finding outweighs the lifts.
+1320 timed lifts (primes of 3 to 127 bits, p^k up to 2^16 bits, degree
+1 to 40, small, full-width and 2^14-bit coefficients) lift is 1.0x to
+11.8x its time, 1.7x in the median.  It is within 3x for all but 104 of
+them: chiefly f of degree 1 to 3 with small coefficients at large p^k,
+where Horner's rule multiplies by a narrow lead, and short lifts of
+2^14-bit coefficients.  Over 722 timed root findings (primes of 2 to
+255 bits, degree 1 to 160) roots is 1.0x to 5.2x its time when all
+min(d, p) roots are there, and up to 32x when few are, as the count is
+not known before the call.  The oracle's scan is 1.4x to 3.5x its time.
 """
 
 from __future__ import annotations
@@ -51,12 +53,32 @@ def _evaluation(f: IntPoly, p: int, k: int) -> int:
 
 
 def roots(f: IntPoly, p: int) -> int:
-    """roots_mod_p: f - t reduced mod p, then x^p mod it by one schoolbook
-    square and reduce, about 200 ns * e^2, per bit of p, where
-    e = min(d, p) bounds the degree of every power; the gcd with
-    x^p - x and the derivative at each root cost d * e each."""
-    e = min(f.degree, p) + 2
-    return 20 * e * (p.bit_length() * e + f.degree) + _evaluation(f, p, 1)
+    """roots_mod_p: x^p mod h = f - t mod p by squaring, the gcd of h
+    with x^p - x, which holds its e <= min(d, p) roots, and equal-degree
+    splitting of that gcd by one power (x + a)^((p-1)/2) mod a factor of
+    it per try; then f' at each root.
+
+    Each power costs about 9 us per bit of p in calls and list work,
+    and 1 us more per 64 bits of p.
+    The splitting takes about three powers per root, counting the run
+    of failed tries that two roots can need, and the estimate charges
+    all e of them: a congruence with few roots can take a twentieth of
+    it.  A power of degree e squares and reduces at each bit of p past
+    its first log2 e, for e^2 word operations of (300 + 70 bits / 16) ns
+    each; the first power and the splitting take up to six such powers
+    between them.  The gcd costs d * e word operations.
+    """
+    bits = p.bit_length()
+    e = max(min(f.degree, p), 0)
+    powers = 3 * e if e > 1 else 1
+    full = max(bits - max(e, 1).bit_length() + 1, 1)
+    op = 30 + 7 * bits // 16
+    return (
+        6000
+        + (e + 1) * _evaluation(f, p, 1)
+        + powers * bits * (900 + 100 * bits // 64)
+        + (6 * full * e + f.degree) * e * op
+    )
 
 
 def _excess(f: IntPoly, bits: int) -> int:
@@ -76,25 +98,23 @@ def _newton(f: IntPoly, p: int, k: int) -> int:
     step to p^2 about 35 us.  Each Newton stage, at the halvings k,
     ceil(k/2), ..., 2 of k, costs about 5 us, one _int_op at its own
     precision per multiply of Horner's rule on g, and 5/8 of one more for
-    g' and for cutting g and g' from the precision above.  A lead within
-    a machine word makes the first of the d multiplies nearly free, as a
-    linear f with small coefficients shows most.
+    g' and for cutting g and g' from the precision above.
     """
     bits = p.bit_length()
-    full = max(f.degree - (0 <= f.leading_coefficient < 2**64), 0)
     steps = 1700 + (f.degree + 1) * (300 + (k * bits // 30 + 10) // 2)
     if k > 1:
         steps += 3500
     j = k
     while j > 1:
         op = _int_op(j * bits)
-        steps += 500 + full * op + op * 5 // 8
+        steps += 500 + f.degree * op + op * 5 // 8
         j = (j + 1) // 2
     return steps
 
 
 def lift(f: IntPoly, p: int, k: int) -> int:
-    # g = f - t and g' are cut mod p^k from f's coefficients as given
+    """hensel_lift to p^k: g = f - t and g' cut mod p^k from f's
+    coefficients as given, then the Newton stages on the cut ones."""
     return 2 * _excess(f, k * p.bit_length()) + _newton(f, p, k)
 
 

@@ -1,16 +1,18 @@
 import json
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import padicdyn
-from padicdyn import BudgetExceededError, IntPoly, backward, cli, work
+from padicdyn import BudgetExceededError, IntPoly, backward, cli, format_poly, work
 from padicdyn.cli import main
 from padicdyn.schemas import SCHEMAS
 
@@ -311,6 +313,48 @@ class TestWorkLimits:
                            "100000001 steps of about 10 ns, over the limit of "
                            "100000000$"):
             work.check(work.MAX_WORK + 1, "a call")
+
+    def test_root_heavy_backward_step_just_under_the_limit_ends_within_it(
+        self, capsys
+    ):
+        # f has 16 distinct roots mod p, all found, split apart and lifted,
+        # so the root finding weighs most; the precision is the largest
+        # the work limit allows (0.3 s against 1 s on a 2-vCPU x86 VM)
+        p = 2**255 - 19
+        rng = random.Random(5)
+        f = IntPoly((1,))
+        for _ in range(16):
+            f = f * IntPoly((-rng.randrange(p), 1))
+        k = max(k for k in range(1, 57) if work.preimages(f, p, k) <= work.MAX_WORK)
+        assert work.preimages(f, p, k) > 0.9 * work.MAX_WORK
+        start = time.perf_counter()
+        code, payload = run_json(
+            capsys, "preimages", "--poly", format_poly(f), "--prime", str(p),
+            "--precision", str(k), "--target", "0", "--allow-large",
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 0 and len(payload["lifted"]) == 16
+        assert elapsed < work.MAX_WORK * 1e-8
+
+    def test_tree_stopped_by_the_work_limit_ends_within_it(self, capsys):
+        # (x + a)^2 - a = v has two roots mod p or none, so the tree from
+        # 1 - a grows until the work limit's node cap stops it
+        # (0.4 s against 1 s on a 2-vCPU x86 VM)
+        p, a, k = 2**61 - 1, 777, 40
+        f = IntPoly((a, 1)) ** 2 - a
+        cap = work.tree_nodes(f, p, k)
+        start = time.perf_counter()
+        code, payload = run_json(
+            capsys, "tree", "--poly", format_poly(f), "--prime", str(p),
+            "--precision", str(k), "--seed", str((1 - a) % p), "--depth", "1000000",
+            "--max-nodes", str(backward.DEFAULT_NODE_BUDGET), "--allow-large",
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 1
+        assert payload["error"]["message"].endswith(
+            f"; the work limit allows {cap} nodes here"
+        )
+        assert elapsed < work.MAX_WORK * 1e-8
 
     def test_default_tree_budget_stops_at_the_work_limit(self):
         # 10^5 nodes at about 90 us each took 8.7 s

@@ -137,20 +137,31 @@ class TestBruteForceOracle:
         rng = random.Random(67)
         from padicdyn import congruence
 
+        cases = []
         for _ in range(20):
             f = random_int_poly(rng, 5, -100, 100)
             m = rng.randint(4100, 6000)
             c = rng.randint(0, m - 1)
-            coeffs = [x % m for x in f.coeffs]
-            assert congruence._bruteforce_vectorized(
-                coeffs, c, m
-            ) == congruence._bruteforce_python(coeffs, c, m)
+            cases.append(([x % m for x in f.coeffs], c, m, None))
+        # coefficients and x near m >= 2^16 make the numpy scan's values
+        # widest, so it reduces at nearly every step it may; a root is
+        # planted near m
+        for degree in (2, 3, 4, 5):
+            m = rng.randrange(2**16, 2**17)
+            coeffs = [rng.randrange(m - 50, m) for _ in range(degree + 1)]
+            r = rng.randrange(m - 1000, m)
+            c = sum(x * r**i for i, x in enumerate(coeffs)) % m
+            cases.append((coeffs, c, m, r))
+        for coeffs, c, m, planted in cases:
+            got = congruence._bruteforce_vectorized(coeffs, c, m)
+            assert planted is None or planted in got
+            assert got == congruence._bruteforce_python(coeffs, c, m)
 
     @pytest.mark.parametrize("q", [2097143, 2097169])
     def test_int64_overflow_boundary(self, q):
         # Both are primes, 2^21 - 9 and 2^21 + 17.  A degree-4 scan whose
-        # lead is q - 1 reaches at least (q - 1)^3 at x = q - 1 after its
-        # third step: below 2^63 for the first, so no reduction comes
+        # lead is q - 1 reaches at least (q - 1)^3 at x = q - 1 once x^2
+        # is multiplied in: below 2^63 for the first, so no reduction comes
         # before that step, and above it for the second, which must reduce
         # first.  That step only overflows at x near q - 1, so the roots
         # are drawn from there.
@@ -164,19 +175,6 @@ class TestBruteForceOracle:
         # over the field F_q a product of distinct linear factors has
         # exactly their roots
         assert solve_congruence_bruteforce(f, 0, q) == sorted(roots)
-
-    def test_scanners_agree_with_coefficients_near_the_modulus(self):
-        # coefficients and x near m make the numpy scan's values widest,
-        # so it reduces at nearly every step it may
-        rng = random.Random(83)
-        for degree in (2, 3, 4, 5):
-            m = rng.randrange(2**16, 2**17)
-            coeffs = [rng.randrange(m - 50, m) for _ in range(degree + 1)]
-            r = rng.randrange(m - 1000, m)
-            target = sum(c * r**i for i, c in enumerate(coeffs)) % m
-            got = congruence._bruteforce_vectorized(coeffs, target, m)
-            assert r in got
-            assert got == congruence._bruteforce_python(coeffs, target, m)
 
     def test_both_sides_of_the_vector_cutoff_match_the_loop(self, monkeypatch):
         from padicdyn import congruence
