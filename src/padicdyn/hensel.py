@@ -7,8 +7,8 @@ update s <- s(2 - f'(a)s).  Each stage evaluates f and f' on
 coefficients reduced mod its own p^j, cut once from the stage above, so
 no stage pays for coefficients wider than its modulus.  The
 intermediate residues (a_1, ..., a_k) form a coherent sequence; they
-are the terminal root reduced mod p^j, so the ladder is derived from
-the root on demand.
+are the terminal root reduced mod p^j, so the ladder is the root's
+PadicInt ladder, read on demand.
 """
 
 from __future__ import annotations
@@ -34,30 +34,25 @@ class LiftedRoot:
     target: int
 
     @cached_property
-    def digits(self) -> tuple[int, ...]:
-        """The base-p digits (d_0, ..., d_(k-1)) of the root, built on
-        first access."""
-        return PadicInt.from_int(self.root, self.prime, self.precision).digits
+    def _padic(self) -> PadicInt:
+        return PadicInt.from_int(self.root, self.prime, self.precision)
 
-    @cached_property
+    @property
+    def digits(self) -> tuple[int, ...]:
+        """The base-p digits (d_0, ..., d_(k-1)) of the root."""
+        return self._padic.digits
+
+    @property
     def ladder(self) -> tuple[int, ...]:
         """(a_1, ..., a_k) with a_j = root mod p^j: each a_j solves the
-        congruence mod p^j, and consecutive entries agree mod p^j.
-        Built on first access, from the digits by
-        a_j = a_(j-1) + d_(j-1) p^(j-1), in O(k^2) digit operations."""
-        q = self.prime.p
-        rungs, a, m = [], 0, 1
-        for d in self.digits:
-            a += d * m
-            m *= q
-            rungs.append(a)
-        return tuple(rungs)
+        congruence mod p^j, and consecutive entries agree mod p^j."""
+        return self._padic.ladder
 
     def as_padic(self) -> PadicInt:
-        return PadicInt(self.prime, self.precision, self.digits)
+        return self._padic
 
     def as_coherent_sequence(self) -> CoherentSequence:
-        return CoherentSequence(self.prime, self.ladder)
+        return self._padic.coherent_sequence()
 
 
 def hensel_step(f: IntPoly, a: int, j: int, p: Union[int, Prime]) -> int:

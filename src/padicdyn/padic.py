@@ -1,17 +1,18 @@
 """p-adic valuations, exact norms, and fixed-precision p-adic integers.
 
 Norms are returned as `fractions.Fraction`, never floats, so ultrametric
-comparisons are exact.  A truncated p-adic integer is a digit vector
-(a_0, ..., a_{k-1}) in base p, i.e. a residue in Z/p^kZ with the digit
-expansion made explicit.  All values here are immutable and all
-functions are pure; everything can be shared freely across threads.
+comparisons are exact.  A truncated p-adic integer is one residue in
+Z/p^kZ; its base-p digits and its ladder of residues mod p, ..., p^k
+are views of it, derived when first read.  All values here are
+immutable and all functions are pure; everything can be shared freely
+across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence, Union
 
 from .errors import NotAUnitError, NotPrimeError
@@ -149,50 +150,60 @@ def abs_p(numerator: int, denominator: int, p: Union[int, Prime]) -> Fraction:
     return Fraction(q ** (-v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PadicInt:
-    """Truncated p-adic integer: digits (a_0, ..., a_{k-1}) in base p,
-    representing sum(a_i * p**i), a residue in Z/p^kZ.
-
-    Arithmetic requires identical base and precision; no silent
-    truncation happens.
+    """Truncated p-adic integer: the residue `value` in [0, p^k), k the
+    precision, built from its base-p digits (a_0, ..., a_{k-1}) or by
+    `from_int`.  Arithmetic requires identical base and precision; no
+    silent truncation happens.
     """
 
     prime: Prime
     precision: int
-    digits: tuple[int, ...]
+    value: int
 
-    def __post_init__(self):
-        if self.precision < 1:
+    def __init__(self, prime: Prime, precision: int, digits: Sequence[int]):
+        if precision < 1:
             raise ValueError("precision must be at least 1")
-        if len(self.digits) != self.precision:
+        if len(digits) != precision:
             raise ValueError("digit count must equal the precision")
-        q = self.prime.p
-        if any(not 0 <= d < q for d in self.digits):
+        q = prime.p
+        if any(not 0 <= d < q for d in digits):
             raise ValueError(f"digits must lie in [0, {q})")
+        value = 0
+        for d in reversed(digits):
+            value = value * q + d
+        self.__dict__.update(prime=prime, precision=precision, value=value)
 
     @classmethod
     def from_int(cls, n: int, p: Union[int, Prime], k: int) -> "PadicInt":
-        """Digit expansion of n mod p^k; negative n is reduced into [0, p^k)."""
+        """n mod p^k; negative n is reduced into [0, p^k)."""
         prime = as_prime(p)
         if k < 1:
             raise ValueError("precision must be at least 1")
-        q = prime.p
-        r = n % q**k
-        digits = []
-        for _ in range(k):
+        x = object.__new__(cls)
+        x.__dict__.update(prime=prime, precision=k, value=n % prime.p**k)
+        return x
+
+    @cached_property
+    def digits(self) -> tuple[int, ...]:
+        """The base-p digits (a_0, ..., a_{k-1}), expanded on first read."""
+        q, r, digits = self.prime.p, self.value, []
+        for _ in range(self.precision):
             r, d = divmod(r, q)
             digits.append(d)
-        return cls(prime, k, tuple(digits))
+        return tuple(digits)
 
-    @property
-    def value(self) -> int:
-        """The represented residue in [0, p^k)."""
-        q = self.prime.p
-        total = 0
-        for d in reversed(self.digits):
-            total = total * q + d
-        return total
+    @cached_property
+    def ladder(self) -> tuple[int, ...]:
+        """(v_1, ..., v_k) with v_j = value mod p^j, built on first read
+        from the digits by v_j = v_(j-1) + a_(j-1) p^(j-1), in O(k^2)
+        digit operations."""
+        q, rungs, v, m = self.prime.p, [], 0, 1
+        for d in self.digits:
+            v, m = v + d * m, m * q
+            rungs.append(v)
+        return tuple(rungs)
 
     @property
     def modulus(self) -> int:
@@ -220,7 +231,7 @@ class PadicInt:
         return PadicInt.from_int(-self.value, self.prime, self.precision)
 
     def is_unit(self) -> bool:
-        return self.digits[0] != 0
+        return self.value % self.prime.p != 0
 
     def invert(self) -> "PadicInt":
         """Multiplicative inverse mod p^k; requires a_0 != 0."""
@@ -233,10 +244,7 @@ class PadicInt:
 
     def coherent_sequence(self) -> "CoherentSequence":
         """Residues of this value modulo p, p^2, ..., p^k."""
-        q = self.prime.p
-        v = self.value
-        terms = tuple(v % q ** (j + 1) for j in range(self.precision))
-        return CoherentSequence(self.prime, terms)
+        return CoherentSequence(self.prime, self.ladder)
 
     def __str__(self) -> str:
         return f"{self.value} + O({self.prime.p}^{self.precision})"

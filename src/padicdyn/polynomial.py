@@ -232,11 +232,7 @@ class FpPoly:
 
     def eval(self, x: int) -> int:
         q = self.prime.p
-        x %= q
-        total = 0
-        for c in reversed(self.coeffs):
-            total = (total * x + c) % q
-        return total
+        return horner_mod(self.coeffs, x % q, q)
 
     def roots(self) -> list[int]:
         """All residues in [0, p) where the polynomial vanishes, ascending.

@@ -356,6 +356,24 @@ class TestWorkLimits:
         )
         assert elapsed < work.MAX_WORK * 1e-8
 
+    def test_oracle_at_the_solution_cap_ends_within_the_limit(self, capsys):
+        # every residue solves the zero polynomial, so all of them are
+        # joined and printed (0.4-0.6 s against 1 s on a 2-vCPU x86 VM,
+        # numpy's import included; 1.1 s at the former cap of 10^6)
+        m = work.MAX_SOLUTIONS
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "oracle", "--poly", "0", "--modulus", str(m))
+        elapsed = time.perf_counter() - start
+        assert code == 0 and json.loads(out)["solutions"] == list(range(m))
+        assert elapsed < work.MAX_WORK * 1e-8
+        code, payload = run_json(
+            capsys, "oracle", "--poly", "0", "--modulus", str(m + 1)
+        )
+        assert code == 1
+        assert payload["error"]["message"] == (
+            f"{m + 1} solutions mod {m + 1}; listing more than {m} is refused"
+        )
+
     def test_default_tree_budget_stops_at_the_work_limit(self):
         # 10^5 nodes at about 90 us each took 8.7 s
         argv = ["tree", "--poly", "x^2", "--prime", "7", "--precision", "1",
@@ -444,7 +462,7 @@ class TestWorkLimits:
         assert payload["error"] == {
             "type": "ValueError",
             "message": "10000000 solutions mod 10000000; listing more than "
-            "1000000 is refused",
+            "400000 is refused",
         }
 
     @pytest.mark.parametrize("precision", ["10000000", "1000000000"])

@@ -6,6 +6,7 @@ import pytest
 from padicdyn import (
     INFINITY,
     CoherentSequence,
+    IntPoly,
     NotAUnitError,
     NotPrimeError,
     PadicInt,
@@ -13,6 +14,7 @@ from padicdyn import (
     abs_p,
     as_prime,
     check_coherent,
+    hensel_lift,
     is_prime,
     vp_int,
     vp_rat,
@@ -187,6 +189,39 @@ class TestPadicInt:
     def test_invert_non_unit_rejected(self):
         with pytest.raises(NotAUnitError):
             PadicInt.from_int(5, 5, 3).invert()
+
+    def test_digits_are_expanded_only_when_read(self):
+        a = PadicInt.from_int(10, 7, 40)
+        b = PadicInt.from_int(-3, 7, 40)
+        results = [a, b, a + b, a - b, a * b, -a, a.invert()]
+        assert all("digits" not in vars(x) for x in results)
+        assert a.is_unit() and "digits" not in vars(a)
+        assert a.digits is a.digits and "digits" in vars(a)
+
+    def test_views_match_integer_arithmetic_at_large_precision(self):
+        rng = random.Random(707)
+        for _ in range(25):
+            p = rng.choice([2, 3, 7, 10007, 2**31 - 1, 2**61 - 1])
+            k = rng.randint(1, 500)
+            m = p**k
+            a, b = rng.randrange(-m, m), rng.randrange(-m, m)
+            xa, xb = PadicInt.from_int(a, p, k), PadicInt.from_int(b, p, k)
+            x = xa * xb + xa - xb
+            v = (a * b + a - b) % m
+            assert x.value == v
+            powers = [p**i for i in range(k + 1)]
+            assert x.digits == tuple(v // powers[i] % p for i in range(k))
+            assert x.ladder == tuple(v % powers[j] for j in range(1, k + 1))
+            assert x.coherent_sequence().terms == x.ladder
+            y = PadicInt(x.prime, k, list(x.digits))
+            assert y == x and hash(y) == hash(x)
+            if a % p:
+                assert (xa.invert() * xa).value == 1
+            # the lift of the root v of x - v, from v mod p
+            lifted = hensel_lift(IntPoly((-v, 1)), v % p, k, p)
+            assert lifted.root == v and lifted.as_padic() == x
+            assert lifted.digits == x.digits and lifted.ladder == x.ladder
+            assert lifted.as_coherent_sequence() == x.coherent_sequence()
 
     def test_invalid_digits_rejected(self):
         with pytest.raises(ValueError):
