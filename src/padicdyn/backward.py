@@ -48,12 +48,8 @@ def preimages(
         raise ValueError("precision must be at least 1")
     roots = roots_mod_p(f, target, prime)
     seeds = [r.residue for r in roots if not r.singular]
-    modulus = prime.p**k
-    target %= modulus
-    if seeds:
-        # reduced once for all the lifts, so that none sees a coefficient
-        # wider than p^k
-        f = f.reduced(modulus)
+    # every lift reads one ladder, whose top cut reduces f mod p^k once
+    target %= prime.p**k
     lifted = sorted(hensel_lift(f, a, k, prime, target=target).root for a in seeds)
     singular = [r for r in roots if r.singular]
     return lifted, singular

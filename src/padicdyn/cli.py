@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -266,14 +265,22 @@ MAX_NODES = {
 }
 
 
-@dataclass(frozen=True)
 class Command:
     # flags: each flag in order, with its add_argument keywords;
     # handler(args, f, prime) returns the JSON payload and the table lines
-    help: str
-    handler: Callable[..., tuple[dict, Iterable[str]]]
-    flags: dict[str, dict]
-    formats: tuple[str, ...] = ("json", "table")
+    __slots__ = ("help", "handler", "flags", "formats")
+
+    def __init__(
+        self,
+        help: str,
+        handler: Callable[..., tuple[dict, Iterable[str]]],
+        flags: dict[str, dict],
+        formats: tuple[str, ...] = ("json", "table"),
+    ):
+        self.help = help
+        self.handler = handler
+        self.flags = flags
+        self.formats = formats
 
 
 COMMANDS = {

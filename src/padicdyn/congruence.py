@@ -20,7 +20,7 @@ from typing import Union
 
 from .errors import PadicDynError
 from .padic import Prime, as_prime
-from .polynomial import IntPoly, eval_mod, reduce_mod_p
+from .polynomial import IntPoly, horner_mod, reduce_mod_p
 
 DEFAULT_ORACLE_BOUND = 10**7
 
@@ -62,7 +62,8 @@ MAX_LISTED_RESIDUES = 10**5
 
 def roots_mod_p(f: IntPoly, target: int, p: Union[int, Prime]) -> list[RootModP]:
     """All residues a in [0, p) with f(a) = target (mod p), ascending,
-    each classified by the derivative of f at a mod p.
+    each classified by the derivative of f at a mod p, taken from the
+    reduction h of f - target, since h' = f' mod p.
 
     A reduction that vanishes identically means every residue is a
     root, and a singular one: f - target = p g gives f' = p g'.  Listing
@@ -79,11 +80,10 @@ def roots_mod_p(f: IntPoly, target: int, p: Union[int, Prime]) -> list[RootModP]
                 f"all of them is refused above {MAX_LISTED_RESIDUES}"
             )
         return [RootModP(a, True, 0) for a in range(q)]
-    residues = h.roots()
-    deriv = f.derivative()
+    dh = [i * c for i, c in enumerate(h.coeffs) if i]
     out = []
-    for a in residues:
-        d = eval_mod(deriv, a, q)
+    for a in h.roots():
+        d = horner_mod(dh, a, q)
         out.append(RootModP(a, d == 0, d))
     return out
 

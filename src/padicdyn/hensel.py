@@ -1,20 +1,17 @@
 """Hensel lifting: refine a nonsingular root mod p to a root mod p^k.
 
-The lift is unique, so it is computed directly at full precision by
-Newton iteration over the precisions 2, ..., ceil(k/2), k, the halvings
-of k read bottom up, while f'(a)^-1 is refined alongside by the Newton
-update s <- s(2 - f'(a)s).  Each stage evaluates f and f' on
-coefficients reduced mod its own p^j, cut once from the stage above, so
-no stage pays for coefficients wider than its modulus.  The
-intermediate residues (a_1, ..., a_k) form a coherent sequence; they
-are the terminal root reduced mod p^j, so the ladder is the root's
-PadicInt ladder, read on demand.
+The lift is unique, so Newton iteration computes it directly over the
+precisions 2, ..., ceil(k/2), k, the halvings of k, refining f'(a)^-1
+alongside by s <- s(2 - f'(a)s).  Each stage reads f - target and its
+derivative cut mod its own p^j, from one cached ladder of cuts that
+every seed of a backward step shares.  The residues a_j = root mod p^j
+form the root's PadicInt ladder, read on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Union
 
 from .errors import NotARootError, SingularRootError
@@ -82,6 +79,33 @@ def hensel_step(f: IntPoly, a: int, j: int, p: Union[int, Prime]) -> int:
     return (a + t * q**j) % step_mod
 
 
+@lru_cache(maxsize=1)
+def _ladder(g: tuple[int, ...], k: int, q: int) -> tuple[tuple[int, tuple, tuple], ...]:
+    """The stages (p^j, g mod p^j, g' mod p^j) of a lift to p^k, for the
+    precisions 1, 2, ..., ceil(k/2), k: the halvings of k, bottom up.
+
+    g is cut mod p^k once and then from each precision to the next one
+    down, and g' is derived from each cut, so every evaluation works on
+    numbers below its own modulus.  The one-entry cache keeps the last
+    ladder alive until a lift of another (g, k, p); the seeds of one
+    backward step share it.
+    """
+    levels = [k]
+    while levels[-1] > 1:
+        levels.append((levels[-1] + 1) // 2)
+    levels.reverse()
+    # each p^j once, squaring up from p
+    moduli = [q]
+    for j, next_j in zip(levels, levels[1:]):
+        m = moduli[-1]
+        moduli.append(m * m if next_j == 2 * j else m * m // q)
+    stages = []
+    for m in reversed(moduli):
+        g = tuple([c % m for c in g])
+        stages.append((m, g, tuple([i * c % m for i, c in enumerate(g) if i])))
+    return tuple(reversed(stages))
+
+
 def hensel_lift(
     f: IntPoly,
     a0: int,
@@ -92,42 +116,18 @@ def hensel_lift(
     """Lift a nonsingular root a0 of f = target (mod p) to the unique
     root mod p^k congruent to a0 mod p.
 
-    The precisions are the halvings k, ceil(k/2), ..., 2, 1 of k, walked
-    bottom up, so each stage at most doubles the precision and the last
-    one ends at k.  g = f - target and g' are reduced mod p^k once and
-    then from each precision to the next one down, so every evaluation
-    works on numbers below its own modulus.  The stage to p^2 is one
-    hensel_step; each later stage, from p^j to p^J, is the Newton update
-    a - g(a) * s mod p^J, where s = g'(a)^-1 is kept correct mod p^j.
-    Seeds that are not roots mod p, or that are singular, are rejected
-    before any stage.  f need not be monic: only the nonsingularity of
-    the seed is used, even though the classical p-adic statement is
-    usually phrased for monic f.
+    Each stage walks one rung of _ladder(f - target, k, p), at most
+    doubling the precision.  The stage to p^2 is one hensel_step; each
+    later one, from p^j to p^J, is the Newton update a - g(a) * s mod
+    p^J, with s = g'(a)^-1 kept correct mod p^j.  Seeds that are not
+    roots mod p, or are singular, are rejected before any stage.  f
+    need not be monic: only the seed's nonsingularity is used.
     """
     prime = as_prime(p)
     q = prime.p
     if k < 1:
         raise ValueError("precision must be at least 1")
-    # the precisions 1, 2, ..., ceil(k/2), k: the halvings of k, bottom up
-    levels = [k]
-    while levels[-1] > 1:
-        levels.append((levels[-1] + 1) // 2)
-    levels.reverse()
-    # each p^j once, squaring up from p
-    moduli = [q]
-    for j, next_j in zip(levels, levels[1:]):
-        m = moduli[-1]
-        moduli.append(m * m if next_j == 2 * j else m * m // q)
-    # g = f - target and g' as coefficient lists, cut mod p^k once and
-    # then from each precision to the next one down
-    g = f - target
-    g, dg = g.coeffs, g.derivative().coeffs
-    stages = []
-    for m in reversed(moduli):
-        g = [c % m for c in g]
-        dg = [c % m for c in dg]
-        stages.append((m, g, dg))
-    stages.reverse()
+    stages = _ladder((f - target).coeffs, k, q)
     _, g, dg = stages[0]
     a = a0 % q
     if horner_mod(g, a, q) != 0:
@@ -138,11 +138,11 @@ def hensel_lift(
             f"seed {a0} is singular mod {q}: no unique lift exists"
         )
     if k > 1:
-        a = hensel_step(IntPoly(tuple(stages[1][1])), a, 1, prime)
+        a = hensel_step(IntPoly(stages[1][1]), a, 1, prime)
         s = pow(d, -1, q)
         for (m, _, dg), (next_m, next_g, _) in zip(stages[1:], stages[2:]):
             # s is g'(a)^-1 mod p^ceil(j/2); one Newton update makes it
             # exact mod p^j, which is all the step to p^J, J <= 2j, needs.
             s = s * (2 - horner_mod(dg, a, m) * s) % m
             a = (a - horner_mod(next_g, a, next_m) * s) % next_m
-    return LiftedRoot(prime, a, k, f, target % moduli[-1])
+    return LiftedRoot(prime, a, k, f, target % stages[-1][0])

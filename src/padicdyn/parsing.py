@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import PolyParseError
 from .polynomial import IntPoly
@@ -55,12 +54,14 @@ _OP = "op"
 _END = "end"
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str
-    text: str
-    position: int
-    value: int = 0
+    __slots__ = ("kind", "text", "position", "value")
+
+    def __init__(self, kind: str, text: str, position: int, value: int = 0):
+        self.kind = kind
+        self.text = text
+        self.position = position
+        self.value = value
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -161,10 +162,15 @@ class _Parser:
         coeffs: list[int] = []
         add = operator.add
         while True:
-            term = self.term().coeffs
-            n = len(term)
+            term = self.term()
+            n = len(term.coeffs)
             coeffs += [0] * (n - len(coeffs))
-            coeffs[:n] = map(add, coeffs[:n], term)
+            if term.is_monomial:
+                # c x^i, such as each term of a printed polynomial, goes
+                # into its one slot
+                coeffs[n - 1] = add(coeffs[n - 1], term.coeffs[-1])
+            else:
+                coeffs[:n] = map(add, coeffs[:n], term.coeffs)
             tok = self.peek()
             if not (tok.kind == _OP and tok.text in "+-"):
                 return IntPoly(tuple(coeffs))

@@ -238,11 +238,12 @@ class FpPoly:
         """All residues in [0, p) where the polynomial vanishes, ascending.
 
         Rabin's method: g = gcd(h, x^p - x) collects the distinct linear
-        factors of h, with x^p taken mod h by repeated squaring, and
-        equal-degree splitting by gcd(g, (x + a)^((p-1)/2) - 1) over the
-        fixed shifts a = 0, 1, 2, ... peels them apart.  The cost is
-        polynomial in deg h and log p; the output does not depend on any
-        random choice.  The zero polynomial vanishes everywhere.
+        factors of h, and gcd(g, (x + a)^((p-1)/2) - 1) over the fixed
+        shifts a = 0, 1, 2, ... splits them apart.  w = x^((p-1)/2) mod h
+        is taken once by repeated squaring: x^p is w^2 x, and w mod g is
+        the first split.  The cost is polynomial in deg h and log p and
+        the output depends on no random choice.  The zero polynomial
+        vanishes everywhere.
         """
         p = self.prime.p
         if self.is_zero:
@@ -250,9 +251,10 @@ class FpPoly:
         if p == 2:
             return [a for a in (0, 1) if self.eval(a) == 0]
         h = _monic(list(self.coeffs), p)
-        xp = _powmod([0, 1], p, h, p)
+        w = _powmod([0, 1], (p - 1) // 2, h, p)
+        xp = _rem(_mul(_mul(w, w), [0, 1]), h, p)
         g = _gcd(h, _sub(xp, [0, 1], p), p)
-        return sorted(_split_linear(g, p))
+        return sorted(_split_linear(g, p, _rem(w, g, p)))
 
     def _check_same_field(self, other: "FpPoly") -> None:
         if self.prime != other.prime:
@@ -349,13 +351,25 @@ def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     return quot, _trim([c % p for c in rem[:db]])
 
 
+def _rem(a: list[int], h: list[int], p: int) -> list[int]:
+    """a mod a monic h over F_p; a is overwritten."""
+    dh = len(h) - 1
+    low = h[:-1]
+    for i in range(len(a) - 1, dh - 1, -1):
+        c = a[i] % p
+        if c:
+            for j, d in enumerate(low, i - dh):
+                a[j] -= c * d
+    return _trim([c % p for c in a[:dh]])
+
+
 def _powmod(base: list[int], e: int, h: list[int], p: int) -> list[int]:
-    """base^e mod h over F_p, e >= 1, by left-to-right squaring."""
-    result = _divmod(base, h, p)[1]
+    """base^e mod a monic h over F_p, e >= 1, by left-to-right squaring."""
+    result = _rem(list(base), h, p)
     for bit in bin(e)[3:]:
-        result = _divmod(_mul(result, result), h, p)[1]
+        result = _rem(_mul(result, result), h, p)
         if bit == "1":
-            result = _divmod(_mul(result, base), h, p)[1]
+            result = _rem(_mul(result, base), h, p)
     return result
 
 
@@ -366,14 +380,14 @@ def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return _monic(a, p)
 
 
-def _split_linear(g: list[int], p: int) -> list[int]:
+def _split_linear(g: list[int], p: int, w0: list[int]) -> list[int]:
     """Roots of a monic g over F_p, p odd, that is a product of distinct
-    linear factors (unordered).
+    linear factors (unordered); w0 is x^((p-1)/2) mod g.
 
     A factor x - r divides gcd(g, (x + a)^((p-1)/2) - 1) exactly when
     r + a is a nonzero square.  Two distinct roots differ in that
     respect for some a in [0, p), so trying a = 0, 1, 2, ... in turn
-    always splits g.
+    always splits g.  The try a = 0 on g itself reads w0.
     """
     roots = []
     pending = [g] if len(g) > 1 else []
@@ -384,7 +398,7 @@ def _split_linear(g: list[int], p: int) -> list[int]:
             roots.append(-g[0] % p)
             continue
         while True:
-            w = _powmod([a % p, 1], (p - 1) // 2, g, p)
+            w = w0 if a == 0 else _powmod([a % p, 1], (p - 1) // 2, g, p)
             a += 1
             s = _gcd(g, _sub(w, [1], p), p)
             if 1 < len(s) < len(g):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -13,6 +14,7 @@ from padicdyn import (
     eval_mod,
     forward_orbit,
     preimages,
+    solve_congruence_bruteforce,
 )
 from helpers import exhaustive_roots, random_int_poly, tree_shape
 
@@ -60,8 +62,8 @@ class TestPreimages:
             assert len(residues) == len(set(residues))
 
     def test_coefficients_matter_only_mod_p_to_the_k(self):
-        # preimages reduces f mod p^k before lifting: adding p^k * h, with
-        # h's coefficients far wider than p^k, changes nothing
+        # the lift cuts f mod p^k before its first stage: adding p^k * h,
+        # with h's coefficients far wider than p^k, changes nothing
         rng = random.Random(97)
         for _ in range(100):
             f, _, p, k, _ = random_tree_inputs(rng)
@@ -69,6 +71,27 @@ class TestPreimages:
             target = rng.randrange(-(p ** (2 * k)), p ** (2 * k))
             h = random_int_poly(rng, 5, -(p ** (3 * k)), p ** (3 * k))
             assert preimages(f + p**k * h, target, p, k) == preimages(f, target, p, k)
+
+    def test_wide_quadratics_match_the_oracle(self):
+        # every solution mod p^k above a nonsingular root mod p is lifted,
+        # and nothing else is
+        rng = random.Random(101)
+        for _ in range(60):
+            p = rng.choice([2, 3, 5, 7, 11, 13, 101, 997])
+            k = rng.randint(1, int(math.log(10**6, p)))
+            m = p**k
+            f = IntPoly(tuple(rng.randrange(-(m**3), m**3) for _ in range(3)))
+            if f.coeffs[-1] % p == 0:
+                f += IntPoly((0, 0, 1))
+            t = rng.randrange(-(m**2), m**2)
+            lifted, singular = preimages(f, t, p, k)
+            df = f.derivative()
+            oracle = solve_congruence_bruteforce(f, t, m)
+            assert lifted == [x for x in oracle if eval_mod(df, x, p)]
+            assert all(eval_mod(df, r.residue, p) == 0 for r in singular)
+            assert {x % p for x in oracle} <= {x % p for x in lifted} | {
+                r.residue for r in singular
+            }
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_precision_below_one_rejected(self, k):

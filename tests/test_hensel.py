@@ -259,3 +259,58 @@ class TestWideCoefficients:
             assert lifted.polynomial is f
             assert lifted.target == t % p**9
             assert eval_mod(lifted.polynomial, lifted.root, p**9) == lifted.target
+
+
+class TestLadderCache:
+    """hensel._ladder keeps the cuts of the last lift: the seeds of one
+    backward step share them, and any other (g, k, p) rebuilds them."""
+
+    def test_two_root_step_builds_its_ladder_once(self):
+        from padicdyn import backward, hensel
+
+        f, p, k = IntPoly((5 + 7**40, 1 - 3 * 7**33, 1)), 7, 12
+        t = f(2) + 7**20
+        hensel._ladder.cache_clear()
+        lifted, singular = backward.preimages(f, t, p, k)
+        info = hensel._ladder.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert len(lifted) == 2 and singular == []
+        fresh = []
+        for r in backward.roots_mod_p(f, t, p):
+            hensel._ladder.cache_clear()
+            fresh.append(hensel_lift(f, r.residue, k, p, target=t % p**k).root)
+        assert sorted(fresh) == lifted
+
+    def test_alternating_lifts_never_read_a_stale_ladder(self):
+        from padicdyn import hensel
+
+        # f and g agree mod 7, so a ladder of the wrong one would still
+        # accept the seed 3 and lift it to a wrong root
+        f, g, p = IntPoly((-2, 0, 1)), IntPoly((5, 0, 1)), 7
+        hensel._ladder.cache_clear()
+        lifts = [(f, 9), (g, 9), (f, 9), (f, 4), (f, 9), (g, 4), (g, 9)]
+        for poly, k in lifts:
+            root = hensel_lift(poly, 3, k, p).root
+            assert eval_mod(poly, root, p**k) == 0 and root % p == 3
+            assert root == stepwise_ladder(poly, 3, k, p)[-1]
+        info = hensel._ladder.cache_info()
+        assert (info.misses, info.hits) == (len(lifts), 0)
+
+    def test_same_difference_shares_a_ladder(self):
+        from padicdyn import hensel
+
+        # f + 1 = 1 and f = 0 lift the same g = f - target
+        f, p, k = IntPoly((-2, 0, 1)), 7, 9
+        hensel._ladder.cache_clear()
+        a = hensel_lift(f, 3, k, p)
+        b = hensel_lift(f + 1, 3, k, p, target=1)
+        assert hensel._ladder.cache_info().hits == 1
+        assert a.root == b.root and (a.target, b.target) == (0, 1)
+
+
+def stepwise_ladder(f, a, k, p):
+    """(a_1, ..., a_k) by k - 1 single hensel_steps."""
+    ladder = [a % p]
+    for j in range(1, k):
+        ladder.append(hensel_step(f, ladder[-1], j, p))
+    return ladder

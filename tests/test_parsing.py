@@ -40,6 +40,12 @@ class TestParsePoly:
         assert parse_poly("2^3x").coeffs == (0, 8)
         assert parse_poly("-x^2") == -parse_poly("x^2")
 
+    def test_terms_add_in_any_order(self):
+        assert parse_poly("x^5 + 2x^5 - x^2 + x^5").coeffs == (0, 0, -1, 0, 0, 4)
+        assert parse_poly("-x^2 + x^5 - 3 + (x+1)^2 - 2x^5").coeffs == (-2, 2, 0, 0, 0, -1)
+        assert parse_poly("x^3 - x^3 + x - 0x^7").coeffs == (0, 1)
+        assert parse_poly("x^4 - x^4").is_zero
+
     def test_constants(self):
         assert parse_poly("0").is_zero
         assert parse_poly("42").coeffs == (42,)

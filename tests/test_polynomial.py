@@ -186,6 +186,84 @@ class TestRootFinder:
             assert [x.residue for x in roots_mod_p(g, 0, p)] == [r, s]
 
 
+class TestRootSplitting:
+    """FpPoly.roots takes w = x^((p-1)/2) mod h once: x^p is w^2 x, and
+    w mod g is the first splitting try, a = 0."""
+
+    # p = 3 mod 4, then p = 1 mod 4
+    PRIMES = [3, 7, 11, 19, 23, 43, 5, 13, 17, 29, 37, 101]
+
+    def test_matches_exhaustive_scan(self):
+        rng = random.Random(4111)
+        for _ in range(600):
+            p = rng.choice(self.PRIMES)
+            # up to degree 8 over planted linear factors, some repeated,
+            # often including x itself, times a random cofactor
+            f = random_int_poly(rng, 2, -30, 30)
+            while f.degree < 8:
+                r = 0 if rng.random() < 0.3 else rng.randrange(p)
+                f = f * IntPoly((-r, 1)) ** rng.randint(1, 2)
+                if rng.random() < 0.3:
+                    break
+            # mostly t = 0 mod p, which keeps the planted roots
+            t = rng.choice([0, p, -2 * p, rng.randint(-3 * p, 3 * p)])
+            h = reduce_mod_p(f - t, p)
+            if h.is_zero:
+                continue
+            assert h.roots() == exhaustive_roots(f, t, p)
+            # roots_mod_p reads the derivative off h, not off f
+            for root in roots_mod_p(f, t, p):
+                d = eval_mod(f.derivative(), root.residue, p)
+                assert (root.derivative_residue, root.singular) == (d, d == 0)
+
+    def _count_powers(self, monkeypatch):
+        from padicdyn import polynomial
+
+        calls = []
+        powmod = polynomial._powmod
+
+        def counted(*args):
+            calls.append(args)
+            return powmod(*args)
+
+        monkeypatch.setattr(polynomial, "_powmod", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "roots, powers",
+        [
+            ([1, 4], 2),  # both squares mod 7: a = 0 fails, a = 1 splits
+            ([3, 5], 2),  # both non-squares
+            ([0, 3], 3),  # 0 goes with the non-squares; a = 1 fails too
+            ([0, 3, 5], 3),
+            ([1, 3], 1),  # a square and a non-square: w alone splits
+            ([0, 1], 1),
+            ([2], 1),  # one root: nothing to split
+        ],
+    )
+    def test_first_split_reuses_w(self, monkeypatch, roots, powers):
+        calls = self._count_powers(monkeypatch)
+        f = IntPoly((1,))
+        for r in roots:
+            f = f * IntPoly((-r, 1))
+        # x^2 + 1 has no roots mod 7
+        assert reduce_mod_p(f * f * IntPoly((1, 0, 1)), 7).roots() == roots
+        assert len(calls) == powers
+
+    def test_large_prime_planted_pairs(self):
+        # x^2 + 1 has no roots, as p = 3 mod 4
+        p = 2**61 - 1
+        rng = random.Random(61)
+        for i in range(30):
+            r, s = sorted(rng.sample(range(p), 2))
+            if i % 5 == 0:
+                r = 0
+            g = IntPoly((-r, 1)) ** (1 + i % 2) * IntPoly((-s, 1))
+            g = g * IntPoly((1, 0, 1)) ** (i % 3) * rng.randrange(1, p)
+            assert reduce_mod_p(g, p).roots() == [r, s]
+            assert [x.residue for x in roots_mod_p(g + 5, 5, p)] == [r, s]
+
+
 class TestFermatReduce:
     def test_examples(self):
         assert fermat_reduce(IntPoly.monomial(1, 7), 3).coeffs == (0, 1)
