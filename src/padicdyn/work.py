@@ -24,7 +24,9 @@ not known before the call.  The oracle's scan is 1.4x to 3.5x its time.
 
 from __future__ import annotations
 
-from .congruence import _VECTOR_MIN
+import math
+
+from .congruence import _VECTOR_MIN, _prime_power_factors
 from .errors import BudgetExceededError
 from .polynomial import IntPoly
 
@@ -142,14 +144,22 @@ def orbit(f: IntPoly, p: int, k: int, steps: int) -> int:
 
 def oracle(f: IntPoly, m: int) -> int:
     """The scan evaluates f at each residue mod each prime-power factor
-    of m, at most m in all: about 100 ns per residue and 160 ns per
-    coefficient in the plain loop, and vectorized 10 ns and 10 ns, as
-    the scan reduces mod m only where int64 could overflow (numpy's
-    import, about 0.15 s, is left to the limit's margin)."""
+    q of m, the sum of the q in all (m itself for a prime): about 100 ns
+    per residue and 160 ns per coefficient in the plain loop, and
+    vectorized 10 ns and 10 ns, as the scan reduces mod q only where
+    int64 could overflow.  The scanner is chosen by m, as the oracle
+    chooses it.  Finding the factors by trial division tries at most
+    isqrt(m) / 2 + 1 divisors, about 140 ns each.  (numpy's import, about
+    0.15 s, is left to the limit's margin.)  The rates were fitted before
+    large factors were scanned in cache-sized blocks, which made those
+    scans faster; they are not lowered for it, so the estimate stays an
+    upper bound."""
     terms = max(f.degree + 1, 1)
+    residues = sum(_prime_power_factors(m))
+    trials = 14 * (math.isqrt(m) // 2 + 1)
     if m < _VECTOR_MIN:
-        return m * (10 + 16 * terms)
-    return m * (1 + terms)
+        return residues * (10 + 16 * terms) + trials
+    return residues * (1 + terms) + trials
 
 
 def tree_nodes(f: IntPoly, p: int, k: int) -> int:

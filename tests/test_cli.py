@@ -39,10 +39,16 @@ def run_python(*args, timeout=5):
     )
 
 
-def loads_numpy(code):
-    proc = run_python("-c", code + "\nimport sys; print('numpy' in sys.modules)")
+def loaded_after(code):
+    """Run `code` in a fresh interpreter; whether numpy and
+    concurrent.futures are loaded after it, and how many threads run."""
+    proc = run_python("-c", code + (
+        "\nimport json, sys, threading\n"
+        "print(json.dumps(['numpy' in sys.modules, 'concurrent.futures' in "
+        "sys.modules, threading.active_count()]))"
+    ))
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 class TestSubcommands:
@@ -356,6 +362,21 @@ class TestWorkLimits:
         )
         assert elapsed < work.MAX_WORK * 1e-8
 
+    def test_oracle_charges_the_residues_it_scans(self):
+        # 9699690 = 2 * 3 * 5 * ... * 19: 77 residues are scanned, not m;
+        # this was refused at 116,396,280 steps
+        m = 9699690
+        f = IntPoly((-1,) + (0,) * 9 + (1,))
+        assert work.oracle(f, m) < 10**5
+        proc = run_python("-m", "padicdyn.cli", "oracle", "--poly", "x^10-1",
+                          "--modulus", str(m), timeout=1)
+        assert proc.returncode == 0, proc.stdout
+        assert len(json.loads(proc.stdout)["solutions"]) == 640
+        # a prime is one factor, scanned whole: m residues and the trial
+        # division that finds no factor
+        p = 9999991
+        assert work.oracle(f, p) == p * 12 + 14 * (math.isqrt(p) // 2 + 1)
+
     def test_oracle_at_the_solution_cap_ends_within_the_limit(self, capsys):
         # every residue solves the zero polynomial, so all of them are
         # joined and printed (0.4-0.6 s against 1 s on a 2-vCPU x86 VM,
@@ -587,21 +608,32 @@ class TestDispatcher:
 
 
 class TestLazyNumpy:
+    # neither numpy nor the scan's thread pool is loaded, and no thread
+    # but the main one runs
     def test_importing_the_package_and_cli_skips_numpy(self):
-        assert not loads_numpy("import padicdyn, padicdyn.cli")
+        assert loaded_after("import padicdyn, padicdyn.cli") == [False, False, 1]
 
     def test_oracle_below_the_cutoff_skips_numpy(self):
-        assert not loads_numpy(
+        assert loaded_after(
             "from padicdyn import cli\n"
             "cli.main(['oracle', '--poly=5x^2-7x+3', '--modulus=9999', '--target=1'])"
-        )
+        ) == [False, False, 1]
 
     def test_oracle_at_the_cutoff_loads_numpy(self):
-        assert loads_numpy(
+        numpy, _, _ = loaded_after(
             "from padicdyn import congruence, parse_poly\n"
             "congruence.solve_congruence_bruteforce("
             "parse_poly('x^2+1'), 0, congruence._VECTOR_MIN)"
         )
+        assert numpy
+
+    def test_blocked_scan_starts_no_thread(self):
+        # 65537, a prime, is scanned in five blocks
+        assert loaded_after(
+            "from padicdyn import congruence, parse_poly\n"
+            "assert congruence.solve_congruence_bruteforce("
+            "parse_poly('x^2-4'), 0, 65537) == [2, 65535]"
+        ) == [True, False, 1]
 
 
 class TestErrors:

@@ -18,6 +18,7 @@ from padicdyn import (
 )
 from padicdyn import congruence
 from padicdyn.congruence import _VECTOR_MIN, _prime_power_factors
+from padicdyn.padic import as_prime
 from helpers import SMALL_PRIMES, exhaustive_roots, random_int_poly
 
 
@@ -158,7 +159,7 @@ class TestBruteForceOracle:
             assert got == congruence._bruteforce_python(coeffs, c, m)
 
     @pytest.mark.parametrize("q", [2097143, 2097169])
-    def test_int64_overflow_boundary(self, q):
+    def test_int64_overflow_boundary(self, q, monkeypatch):
         # Both are primes, 2^21 - 9 and 2^21 + 17.  A degree-4 scan whose
         # lead is q - 1 reaches at least (q - 1)^3 at x = q - 1 once x^2
         # is multiplied in: below 2^63 for the first, so no reduction comes
@@ -173,7 +174,12 @@ class TestBruteForceOracle:
             f = f * IntPoly((-r, 1))
         assert f.coeffs[-1] % q == q - 1
         # over the field F_q a product of distinct linear factors has
-        # exactly their roots
+        # exactly their roots.  q spans 128 blocks, which reduce by floor
+        # division, the roots falling in the last; one block of q
+        # residues reduces by np.remainder.
+        assert q > 100 * congruence._BLOCK
+        assert solve_congruence_bruteforce(f, 0, q) == sorted(roots)
+        monkeypatch.setattr(congruence, "_BLOCK", q)
         assert solve_congruence_bruteforce(f, 0, q) == sorted(roots)
 
     def test_both_sides_of_the_vector_cutoff_match_the_loop(self, monkeypatch):
@@ -229,9 +235,40 @@ class TestBruteForceOracle:
             assert exhaustive_roots(f, 2, m) == []
         assert solve_congruence_bruteforce(f, 2, 7 * 17) == exhaustive_roots(f, 2, 7 * 17)
 
-    def test_all_residues_through_the_vectorized_join(self):
+    def test_all_residues_through_the_vectorized_join(self, monkeypatch):
         m = 720720  # 2^4 * 3^2 * 5 * 7 * 11 * 13
+        joins = spy_joins(monkeypatch)
         assert solve_congruence_bruteforce(IntPoly(()), 0, m) == list(range(m))
+        assert joins == ["_crt_vectorized"]
+
+    def test_few_solutions_take_the_plain_join(self, monkeypatch):
+        # x^2 = 1 has 4 solutions mod 16 and 2 mod each odd prime power,
+        # 128 in all mod 720720
+        f = IntPoly((-1, 0, 1))
+        joins = spy_joins(monkeypatch)
+        got = solve_congruence_bruteforce(f, 0, 720720)
+        assert len(got) == 128 < congruence._CRT_VECTOR_MIN
+        assert got == [x for x in range(1, 720720, 2)
+                       if (x * x - 1) % 720720 == 0]
+        assert joins == ["_crt_python"]
+
+    def test_both_joins_agree_on_random_parts(self):
+        rng = random.Random(83)
+        moduli = [16, 9, 25, 7, 11, 13, 17, 19, 23]  # pairwise coprime
+        totals = set()
+        for counts in ([1, 1], [2, 3, 1], [4, 5, 5, 2], [8, 9, 5, 7],
+                       [16, 9, 2, 7, 11], [3, 4, 5, 6, 7, 8]):
+            for _ in range(5):
+                qs = rng.sample(moduli, len(counts))
+                parts = [(sorted(rng.sample(range(q), min(k, q))), q)
+                         for k, q in zip(counts, qs)]
+                expected = congruence._crt_python(parts)
+                assert congruence._crt_vectorized(parts) == expected
+                assert len(expected) == math.prod(len(r) for r, _ in parts)
+                assert all(0 <= x < math.prod(qs) for x in expected)
+                assert all(x % q in r for x in expected for r, q in parts)
+                totals.add(len(expected))
+        assert min(totals) < congruence._CRT_VECTOR_MIN <= max(totals)
 
     def test_prime_power_factors(self):
         rng = random.Random(79)
@@ -264,6 +301,79 @@ class TestBruteForceOracle:
         with pytest.raises(ValueError, match="^4 solutions mod 36; listing more "
                            "than 3 is refused$"):
             solve_congruence_bruteforce(f, 0, 36, max_solutions=3)
+
+
+def spy_joins(monkeypatch):
+    """Record which CRT join solve_congruence_bruteforce calls."""
+    joins = []
+
+    def recording(name):
+        join = getattr(congruence, name)
+
+        def call(parts):
+            joins.append(name)
+            return join(parts)
+
+        return call
+
+    for name in ("_crt_python", "_crt_vectorized"):
+        monkeypatch.setattr(congruence, name, recording(name))
+    return joins
+
+
+def planted(rng, q, roots):
+    """Coefficients mod q of lead * prod (x - r), with a random lead."""
+    f = IntPoly((rng.randrange(1, q),))
+    for r in roots:
+        f = f * IntPoly((-r, 1))
+    return [c % q for c in f.coeffs]
+
+
+class TestBlockedScan:
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_agrees_with_the_loop_around_the_block_size(self, degree):
+        rng = random.Random(89 + degree)
+        block = congruence._BLOCK
+        for m in (block - 1, block, block + 1, 3 * block - 1):
+            # coefficients near m make the values widest; a root is
+            # planted at a block's end or start, or at m - 1
+            coeffs = [rng.randrange(m - 50, m) for _ in range(degree + 1)]
+            r = min(rng.choice([block - 1, block, m - 1, rng.randrange(m)]), m - 1)
+            c = sum(x * r**i for i, x in enumerate(coeffs)) % m
+            got = congruence._bruteforce_vectorized(coeffs, c, m)
+            assert r in got
+            assert got == congruence._bruteforce_python(coeffs, c, m)
+
+    @pytest.mark.parametrize("q, block", [(98317, None), (4999, 1000), (4999, 4998)])
+    def test_roots_on_both_sides_of_every_block_boundary(self, q, block, monkeypatch):
+        # q is prime: 6 blocks of 2^14 and a short one, or 5 of 1000 and
+        # a short one, or one of 4998 and one of a single residue
+        assert as_prime(q).p == q
+        if block:
+            monkeypatch.setattr(congruence, "_BLOCK", block)
+        block = congruence._BLOCK
+        cuts = range(block, q, block)
+        roots = sorted({0, q - 1} | {c + d for c in cuts for d in (-1, 0)})
+        rng = random.Random(q + block)
+        f = IntPoly((rng.randrange(1, q),))
+        for r in roots:
+            f = f * IntPoly((-r, 1))
+        # over F_q a product of distinct linear factors has exactly their roots
+        assert congruence._bruteforce_vectorized([c % q for c in f.coeffs], 0, q) == roots
+
+    def test_block_size_does_not_change_the_answer(self, monkeypatch):
+        rng = random.Random(101)
+        for _ in range(6):
+            q = rng.randrange(20_000, 60_000)
+            coeffs = [rng.randrange(q) for _ in range(rng.randint(2, 5))]
+            r = rng.randrange(q)
+            c = sum(x * r**i for i, x in enumerate(coeffs)) % q
+            answers = []
+            for block in (997, 4096, 2**14, q - 1, q):
+                monkeypatch.setattr(congruence, "_BLOCK", block)
+                answers.append(congruence._bruteforce_vectorized(coeffs, c, q))
+            assert r in answers[0]
+            assert all(a == answers[0] for a in answers)
 
 
 class TestListingBound:
