@@ -354,12 +354,9 @@ class TestBlockedScan:
         block = congruence._BLOCK
         cuts = range(block, q, block)
         roots = sorted({0, q - 1} | {c + d for c in cuts for d in (-1, 0)})
-        rng = random.Random(q + block)
-        f = IntPoly((rng.randrange(1, q),))
-        for r in roots:
-            f = f * IntPoly((-r, 1))
+        coeffs = planted(random.Random(q + block), q, roots)
         # over F_q a product of distinct linear factors has exactly their roots
-        assert congruence._bruteforce_vectorized([c % q for c in f.coeffs], 0, q) == roots
+        assert congruence._bruteforce_vectorized(coeffs, 0, q) == roots
 
     def test_block_size_does_not_change_the_answer(self, monkeypatch):
         rng = random.Random(101)
