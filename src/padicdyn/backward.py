@@ -42,17 +42,32 @@ def preimages(
     Returns (lifted, singular): the nonsingular mod-p roots lifted to
     residues mod p^k (ascending), and the singular mod-p roots left
     unexpanded.  Both lists may be empty.
+
+    When g = f - target has a lead coefficient = 1 (mod p^k) and d =
+    deg g nonsingular roots mod p, g splits over Z_p into d distinct
+    linear factors, so its roots sum to -c_(d-1), the coefficient of
+    x^(d-1).  Then the last root mod p^k is that sum less the d - 1
+    lifted ones, and only they are lifted.  Any other step, among them
+    one whose lead is a unit other than 1, lifts every root.
     """
     prime = as_prime(p)
     if k < 1:
         raise ValueError("precision must be at least 1")
     roots = roots_mod_p(f, target, prime)
     seeds = [r.residue for r in roots if not r.singular]
-    # every lift reads one ladder, whose top cut reduces f mod p^k once
-    target %= prime.p**k
-    lifted = sorted(hensel_lift(f, a, k, prime, target=target).root for a in seeds)
     singular = [r for r in roots if r.singular]
-    return lifted, singular
+    # every lift reads one ladder, whose top cut reduces f mod p^k once
+    m = prime.p**k
+    target %= m
+    d = f.degree
+    split = d >= 1 and len(seeds) == d and (f.coeffs[-1] - 1) % m == 0
+    lifted = [
+        hensel_lift(f, a, k, prime, target=target).root
+        for a in (seeds[:-1] if split else seeds)
+    ]
+    if split:
+        lifted.append((-(f - target).coeff(d - 1) - sum(lifted)) % m)
+    return sorted(lifted), singular
 
 
 @dataclass(frozen=True)

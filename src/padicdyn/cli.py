@@ -343,15 +343,21 @@ def main(argv: list[str] | None = None) -> int:
             text = _json_dumps(payload)
         else:
             text = "\n".join(table_lines)
+        code = 0
     except (PadicDynError, ValueError) as exc:
-        if args.format == "json":
-            error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-            print(_json_dumps(error))
-        else:
+        if args.format != "json":
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        text = _json_dumps({"error": {"type": type(exc).__name__, "message": str(exc)}})
+        code = 1
+    try:
+        print(text)
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at os.devnull, so that
+        # flushing what is left at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    print(text)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

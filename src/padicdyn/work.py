@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 
-from .congruence import _VECTOR_MIN, _prime_power_factors
+from .congruence import _BLOCK, _VECTOR_MIN, _prime_power_factors
 from .errors import BudgetExceededError
 from .polynomial import IntPoly
 
@@ -34,6 +34,9 @@ MAX_WORK = 10**8
 # Joining and printing one oracle solution costs about 1.1 us as JSON,
 # and numpy's import about 0.15 s: each solution is charged 2.5 us.
 MAX_SOLUTIONS = MAX_WORK // 250
+# One numpy call of the oracle's vectorized scan, on an array of any
+# length up to its block: 0.7 to 1.5 us on the VM, whose speed drifts.
+_NUMPY_CALL = 200
 # Building, expanding and printing one tree node costs about 60 us
 # besides its root finding and its lift.
 _NODE = 6000
@@ -147,7 +150,11 @@ def oracle(f: IntPoly, m: int) -> int:
     q of m, the sum of the q in all (m itself for a prime): about 100 ns
     per residue and 160 ns per coefficient in the plain loop, and
     vectorized 10 ns and 10 ns, as the scan reduces mod q only where
-    int64 could overflow.  The scanner is chosen by m, as the oracle
+    int64 could overflow.  The vectorized scan also makes two numpy
+    calls per coefficient for each block of up to _BLOCK residues of
+    each factor, each 0.7 to 1.5 us whatever its length, charged at
+    2 us: for a modulus of many small factors and a high degree they
+    are most of the time.  The scanner is chosen by m, as the oracle
     chooses it.  Finding the factors by trial division tries at most
     isqrt(m) / 2 + 1 divisors, about 140 ns each.  (numpy's import, about
     0.15 s, is left to the limit's margin.)  The rates were fitted before
@@ -155,11 +162,13 @@ def oracle(f: IntPoly, m: int) -> int:
     scans faster; they are not lowered for it, so the estimate stays an
     upper bound."""
     terms = max(f.degree + 1, 1)
-    residues = sum(_prime_power_factors(m))
+    factors = _prime_power_factors(m)
+    residues = sum(factors)
     trials = 14 * (math.isqrt(m) // 2 + 1)
     if m < _VECTOR_MIN:
         return residues * (10 + 16 * terms) + trials
-    return residues * (1 + terms) + trials
+    blocks = sum(-(-q // _BLOCK) for q in factors)
+    return residues * (1 + terms) + blocks * terms * 2 * _NUMPY_CALL + trials
 
 
 def tree_nodes(f: IntPoly, p: int, k: int) -> int:

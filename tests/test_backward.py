@@ -100,6 +100,101 @@ class TestPreimages:
             preimages(SQUARE, 2, 7, k)
 
 
+class TestLastRootFromCoefficientSum:
+    """A step whose g = f - t is monic mod p^k with deg g nonsingular
+    roots mod p lifts all but one; the last is -c_(d-1) less the others."""
+
+    @staticmethod
+    def counted_lifts(monkeypatch):
+        from padicdyn import backward
+
+        calls = []
+        lift = backward.hensel_lift
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return lift(*args, **kwargs)
+
+        monkeypatch.setattr(backward, "hensel_lift", counted)
+        return calls
+
+    @staticmethod
+    def planted(rng, p, roots, lead=1, extra=()):
+        # lead * prod(x - r) + p * h: the roots stay those mod p, and
+        # distinct ones stay nonsingular
+        f = IntPoly((lead,))
+        for r in roots:
+            f = f * IntPoly((-r, 1))
+        h = IntPoly(tuple(rng.randint(-p**3, p**3) for _ in range(len(roots))))
+        return f + p * h + IntPoly(tuple(extra))
+
+    @staticmethod
+    def lifted_one_by_one(f, t, p, k):
+        from padicdyn import hensel_lift, roots_mod_p
+
+        return sorted(
+            hensel_lift(f, r.residue, k, p, target=t % p**k).root
+            for r in roots_mod_p(f, t, p)
+            if not r.singular
+        )
+
+    def test_planted_monic_steps_match_every_lift_and_the_oracle(self, monkeypatch):
+        rng = random.Random(131)
+        calls = self.counted_lifts(monkeypatch)
+        for _ in range(150):
+            p = rng.choice([7, 11, 13, 101, 997, 40009, 2**61 - 1])
+            d = rng.randint(2, 6)
+            k = rng.randint(1, 40)
+            m = p**k
+            # a lead = 1 (mod p^k) need not be 1
+            lead = 1 + m * rng.choice([0, 0, 1, -3, p**5])
+            f = self.planted(rng, p, rng.sample(range(p), d), lead)
+            t = p * rng.randrange(-(m**2), m**2)
+            calls.clear()
+            lifted, singular = preimages(f, t, p, k)
+            assert len(calls) == d - 1 and singular == []
+            assert lifted == self.lifted_one_by_one(f, t, p, k)
+            assert len(lifted) == d
+            if m <= 10**6:
+                assert lifted == solve_congruence_bruteforce(f, t, m)
+
+    def test_linear_monic_step_lifts_nothing(self, monkeypatch):
+        calls = self.counted_lifts(monkeypatch)
+        f, p, k = IntPoly((12345, 1 + 7**30)), 7, 30
+        assert preimages(f, 5, p, k) == ([(5 - 12345) % p**k], [])
+        assert calls == []
+
+    @pytest.mark.parametrize("case", ["unit-lead", "lead-divisible-by-p", "singular"])
+    def test_other_steps_lift_every_root(self, monkeypatch, case):
+        rng = random.Random(137)
+        calls = self.counted_lifts(monkeypatch)
+        for _ in range(40):
+            p = rng.choice([7, 11, 13, 101])
+            k = rng.randint(1, int(math.log(10**6, p)))
+            m = p**k
+            d = rng.randint(2, 5)
+            roots = rng.sample(range(p), d)
+            if case == "unit-lead":
+                f = self.planted(rng, p, roots, lead=rng.randint(2, p - 1))
+            elif case == "lead-divisible-by-p":
+                # deg f = d + 1, one more than its roots mod p
+                f = self.planted(rng, p, roots, extra=[0] * (d + 1) + [p])
+            else:
+                f = self.planted(rng, p, roots + roots[:1])
+            t = p * rng.randrange(m)
+            calls.clear()
+            lifted, singular = preimages(f, t, p, k)
+            seeds = sorted(roots[1:] if case == "singular" else roots)
+            assert sorted(calls) == seeds
+            assert [r.residue for r in singular] == (
+                [roots[0]] if case == "singular" else []
+            )
+            assert lifted == self.lifted_one_by_one(f, t, p, k)
+            df = f.derivative()
+            oracle = solve_congruence_bruteforce(f, t, m)
+            assert lifted == [x for x in oracle if eval_mod(df, x, p)]
+
+
 class TestBackwardTree:
     def test_square_tree_structure(self):
         tree = backward_tree(SQUARE, 2, 7, 1, 2)

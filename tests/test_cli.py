@@ -12,7 +12,16 @@ import jsonschema
 import pytest
 
 import padicdyn
-from padicdyn import BudgetExceededError, IntPoly, backward, cli, format_poly, work
+from padicdyn import (
+    BudgetExceededError,
+    IntPoly,
+    backward,
+    cli,
+    congruence,
+    format_poly,
+    parse_poly,
+    work,
+)
 from padicdyn.cli import main
 from padicdyn.schemas import SCHEMAS
 
@@ -37,6 +46,12 @@ def run_python(*args, timeout=5):
         capture_output=True, text=True, timeout=timeout, env=env,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)),
     )
+
+
+def timed(call, *args):
+    start = time.perf_counter()
+    call(*args)
+    return time.perf_counter() - start
 
 
 def loaded_after(code):
@@ -374,8 +389,24 @@ class TestWorkLimits:
         assert len(json.loads(proc.stdout)["solutions"]) == 640
         # a prime is one factor, scanned whole: m residues and the trial
         # division that finds no factor
+        # division that finds no factor, and two numpy calls per block of
+        # it for each of the 11 coefficients
         p = 9999991
-        assert work.oracle(f, p) == p * 12 + 14 * (math.isqrt(p) // 2 + 1)
+        blocks = -(-p // congruence._BLOCK)
+        assert work.oracle(f, p) == (
+            p * 12 + blocks * 11 * 2 * work._NUMPY_CALL + 14 * (math.isqrt(p) // 2 + 1)
+        )
+
+    def test_oracle_charges_the_numpy_calls_of_many_small_factors(self):
+        # eight factors of at most 19 residues, each scanned in two numpy
+        # calls per coefficient: 118.6 ms warm on a 2-vCPU x86 VM, which
+        # was estimated at 7.9 ms before the calls were charged
+        f, m = parse_poly("x^10000-x"), 9699690
+        congruence.solve_congruence_bruteforce(IntPoly((0, 1)), 0, 2**16 + 1)  # numpy
+        elapsed = min(
+            timed(congruence.solve_congruence_bruteforce, f, 0, m) for _ in range(3)
+        )
+        assert elapsed <= work.oracle(f, m) * 1e-8
 
     def test_oracle_at_the_solution_cap_ends_within_the_limit(self, capsys):
         # every residue solves the zero polynomial, so all of them are
@@ -713,3 +744,20 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["unknown-command"])
         assert exc.value.code == 2
+
+    def test_reader_closing_early_ends_quietly(self):
+        # the 10^4 solutions print about 99 KB, more than a 64 KiB pipe
+        # holds, so the print meets the closed pipe; this used to end in
+        # a BrokenPipeError traceback
+        env = dict(os.environ, PYTHONPATH=str(Path(padicdyn.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "padicdyn.cli", "oracle", "--poly", "0",
+             "--modulus", "10000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        head = proc.stdout.read(200)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=5)
+        assert proc.returncode == 1
+        assert head.startswith(b'{\n  "poly": [')
+        assert err == b""

@@ -265,16 +265,21 @@ class TestLadderCache:
     """hensel._ladder keeps the cuts of the last lift: the seeds of one
     backward step share them, and any other (g, k, p) rebuilds them."""
 
-    def test_two_root_step_builds_its_ladder_once(self):
+    def test_three_root_step_builds_its_ladder_once(self):
         from padicdyn import backward, hensel
 
-        f, p, k = IntPoly((5 + 7**40, 1 - 3 * 7**33, 1)), 7, 12
+        # a monic step with three roots lifts two of them, which share one
+        # ladder, and takes the third from the coefficient sum
+        f, p, k = IntPoly((1,)), 7, 12
+        for r in (1, 2, 4):
+            f = f * IntPoly((-r, 1))
+        f += IntPoly((5 * 7**40, -3 * 7**33))
         t = f(2) + 7**20
         hensel._ladder.cache_clear()
         lifted, singular = backward.preimages(f, t, p, k)
         info = hensel._ladder.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        assert len(lifted) == 2 and singular == []
+        assert len(lifted) == 3 and singular == []
         fresh = []
         for r in backward.roots_mod_p(f, t, p):
             hensel._ladder.cache_clear()

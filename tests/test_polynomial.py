@@ -359,3 +359,95 @@ class TestFormatPoly:
         assert format_poly(IntPoly((0, -1))) == "-x"
         assert format_poly(IntPoly((-3,))) == "-3"
         assert format_poly(IntPoly((0, 1, 0, 2))) == "2x^3 + x"
+
+
+def schoolbook_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, c in enumerate(a):
+        for j, d in enumerate(b, i):
+            out[j] += c * d
+    return out
+
+
+def schoolbook_powmod(base, e, h, p):
+    from padicdyn import polynomial
+
+    result = polynomial._rem(list(base), h, p)
+    for bit in bin(e)[3:]:
+        result = polynomial._rem(schoolbook_mul(result, result), h, p)
+        if bit == "1":
+            result = polynomial._rem(schoolbook_mul(result, base), h, p)
+    return result
+
+
+class TestPackedArithmetic:
+    """_powmod packs each residue mod h into one int, and _mul packs long
+    operands; both must agree with the coefficient-by-coefficient loop."""
+
+    @pytest.mark.parametrize("p", [3, 5, 2**61 - 1, 2**255 - 19])
+    def test_power_matches_the_schoolbook_power(self, p):
+        from padicdyn.polynomial import _powmod
+
+        rng = random.Random(p % 1000)
+        for n in (1, 2, 3, 4, 5, 6, 8, 13, 21, 40):
+            h = [rng.randrange(p) for _ in range(n)] + [1]
+            # every coefficient p - 1: the largest sum a slot can hold
+            full = [p - 1] * n + [1]
+            bases = [[0, 1], [rng.randrange(p), 1], [p - 1] * n,
+                     [rng.randrange(p) for _ in range(rng.randint(1, n + 1))]]
+            # up to 64-bit exponents, and up to 12 bits at high degree
+            bits = 64 if n <= 8 else 12
+            for e in (1, 2, 3, (p - 1) // 2, rng.getrandbits(bits) | 1):
+                if e.bit_length() > bits:
+                    continue
+                for base in bases:
+                    for modulus in (h, full):
+                        assert _powmod(base, e, modulus, p) == schoolbook_powmod(
+                            base, e, modulus, p
+                        )
+
+    def test_power_of_low_degree_needs_no_reduction(self):
+        from padicdyn.polynomial import _powmod
+
+        # x^6 mod a degree-1000 h is x^6 itself
+        h = [1] * 1000 + [1]
+        assert _powmod([0, 1], 6, h, 13) == [0] * 6 + [1]
+        assert _powmod([3, 1], 2, h, 13) == [9, 6, 1]
+
+    def test_long_products_match_the_loop(self):
+        from padicdyn.polynomial import _PACKED_MUL_MIN, _mul
+
+        rng = random.Random(2027)
+        for _ in range(60):
+            bits = rng.choice([1, 2, 63, 64, 65, 300])
+            lengths = [rng.randint(_PACKED_MUL_MIN, 3 * _PACKED_MUL_MIN)
+                       for _ in range(2)]
+            signed = rng.random() < 0.7
+            a, b = (
+                [rng.randrange(-(2**bits) if signed else 0, 2**bits) for _ in range(n)]
+                for n in lengths
+            )
+            if rng.random() < 0.2:
+                a = [-(2**bits)] * len(a)  # every slot at its widest
+            assert _mul(a, b) == schoolbook_mul(a, b)
+        # the middle coefficient of 255 copies of 2^64 - 1 times itself,
+        # 255 (2^64 - 1)^2, nearly fills the 136 bits its bound allows
+        wide = [2**64 - 1] * 255
+        for sign in (1, -1):
+            a = [sign * c for c in wide]
+            assert _mul(a, wide) == schoolbook_mul(a, wide)
+
+    def test_parsed_powers_are_exact(self):
+        from math import comb
+
+        from padicdyn import parse_poly
+
+        assert parse_poly("(x+1)^1000").coeffs == tuple(
+            comb(1000, i) for i in range(1001)
+        )
+        assert parse_poly("(x-2)^300").coeffs == tuple(
+            comb(300, i) * (-2) ** (300 - i) for i in range(301)
+        )
+        f = parse_poly("(x^40+x+1)^120")
+        for a in (-3, -1, 2, 5, 10**6):
+            assert f(a) == (a**40 + a + 1) ** 120
