@@ -3,8 +3,9 @@
 Each subcommand delegates to exactly one core operation and prints a
 deterministic result: identical invocations produce byte-identical
 output.  Exit codes: 0 on success, 1 on domain errors (composite prime,
-singular seed, node budget exhaustion, input over a size limit, ...),
-2 on usage errors.
+singular seed, node budget exhaustion, input over a size limit, ...)
+and when the reader closes stdout before the output is written, 2 on
+usage errors.
 
 The subcommands are data: COMMANDS maps each name to its help text, its
 flags in order, its handler and its --format choices.  build_parser()
