@@ -8,7 +8,6 @@ i.e. truncated elements of Z_p.
 
 from .backward import (
     DEFAULT_NODE_BUDGET,
-    BackwardNode,
     BackwardTree,
     OrbitResult,
     backward_tree,
@@ -60,6 +59,14 @@ from .polynomial import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # BackwardNode loads with `dataclasses` on first use, as in backward
+    if name == "BackwardNode":
+        return backward.BackwardNode
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BackwardNode",

@@ -14,16 +14,17 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
-from .congruence import RootModP, roots_mod_p
+from .congruence import DEFAULT_NODE_BUDGET, RootModP, roots_mod_p
 from .hensel import hensel_lift
-from .padic import Prime, as_prime
+from .padic import Frozen, Prime, as_prime
 from .polynomial import IntPoly, eval_mod
 
-DEFAULT_NODE_BUDGET = 100_000
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .node import BackwardNode
 
 EXPANDED = "expanded"
 SINGULAR_LEAF = "singular-leaf"
@@ -70,20 +71,12 @@ def preimages(
     return sorted(lifted), singular
 
 
-@dataclass(frozen=True)
-class BackwardNode:
-    """One tree node: a residue reached after `depth` backward steps.
-
-    Lifted nodes hold residues mod p^k and satisfy f(value) = parent
-    value (mod p^k); singular-leaf nodes hold the unlifted mod-p root
-    and satisfy the congruence mod p only.
-    """
-
-    id: int
-    value: int
-    depth: int
-    status: str
-    parent: int | None
+def __getattr__(name: str):
+    # BackwardNode is a dataclass: `dataclasses` loads with the first use
+    if name == "BackwardNode":
+        from .node import BackwardNode
+        return BackwardNode
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class BackwardTree:
@@ -203,6 +196,7 @@ def backward_tree(
     and the partial tree is flagged incomplete (unexpanded nodes stay
     frontier).
     """
+    from .node import BackwardNode
     prime = as_prime(p)
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -263,15 +257,19 @@ def backward_tree(
     return BackwardTree(prime, k, f, seed, depth, nodes, children, complete)
 
 
-@dataclass(frozen=True)
-class OrbitResult:
+class OrbitResult(Frozen):
     """A forward orbit (x0, f(x0), ...) mod p^k with its first detected
     repeat, if any: tail_length steps before entering a cycle of
     cycle_length."""
 
-    terms: tuple[int, ...]
-    tail_length: int | None
-    cycle_length: int | None
+    _fields = ("terms", "tail_length", "cycle_length")
+
+    def __init__(
+        self, terms: tuple[int, ...], tail_length: int | None, cycle_length: int | None
+    ):
+        self.__dict__.update(
+            terms=terms, tail_length=tail_length, cycle_length=cycle_length
+        )
 
     @property
     def preperiodic(self) -> bool:
@@ -318,6 +316,7 @@ def distance_series(
     p: Union[int, Prime],
 ) -> Fraction:
     """Sequence distance sum(|s_i - t_i| / p^i), as an exact Fraction."""
+    from fractions import Fraction
     if len(s) != len(t):
         raise ValueError("sequences must have the same length")
     q = as_prime(p).p
@@ -333,6 +332,7 @@ def distance_series(
 
 def distance_first_difference(s: Sequence[int], t: Sequence[int]) -> Fraction:
     """Distance 2^(-l) for l the first differing index; 0 when equal."""
+    from fractions import Fraction
     if len(s) != len(t):
         raise ValueError("sequences must have the same length")
     for i, (a, b) in enumerate(zip(s, t)):

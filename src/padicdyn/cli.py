@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import backward, congruence, hensel, work
@@ -234,7 +233,7 @@ def _cmd_dist(args, f: None, prime: None) -> tuple[dict, list[str]]:
         prime = as_prime(args.prime)
         # the distance's denominator is p^(n-1)
         _check_printable(prime.p, len(s) - 1)
-        d: Fraction = backward.distance_series(s, t, prime)
+        d = backward.distance_series(s, t, prime)
     else:
         d = backward.distance_first_difference(s, t)
     payload = {

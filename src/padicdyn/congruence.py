@@ -17,11 +17,10 @@ reduce by floor division.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import PadicDynError
-from .padic import Prime, as_prime
+from .padic import Frozen, Prime, as_prime
 from .polynomial import IntPoly, horner_mod, reduce_mod_p
 
 DEFAULT_ORACLE_BOUND = 10**7
@@ -57,14 +56,16 @@ _BLOCK = 2**14
 _CRT_VECTOR_MIN = 256
 
 
-@dataclass(frozen=True)
-class RootModP:
+class RootModP(Frozen):
     """A residue solving f(x) = target (mod p), tagged singular when the
     derivative of f vanishes there mod p."""
 
-    residue: int
-    singular: bool
-    derivative_residue: int
+    _fields = ("residue", "singular", "derivative_residue")
+
+    def __init__(self, residue: int, singular: bool, derivative_residue: int):
+        self.__dict__.update(
+            residue=residue, singular=singular, derivative_residue=derivative_residue
+        )
 
 
 def congruence_is_identically_zero(
@@ -75,10 +76,9 @@ def congruence_is_identically_zero(
     return reduce_mod_p(f - target, p).is_zero
 
 
-# roots_mod_p lists every residue when f - target vanishes mod p only up
-# to this many: the size of the default tree node budget, which this
-# module cannot import from backward.
-MAX_LISTED_RESIDUES = 10**5
+# The default node budget of a backward tree (re-exported by backward),
+# and how many residues roots_mod_p lists when f - target vanishes mod p.
+DEFAULT_NODE_BUDGET = 100_000
 
 
 def roots_mod_p(f: IntPoly, target: int, p: Union[int, Prime]) -> list[RootModP]:
@@ -89,16 +89,16 @@ def roots_mod_p(f: IntPoly, target: int, p: Union[int, Prime]) -> list[RootModP]
     A reduction that vanishes identically means every residue is a
     root, and a singular one: f - target = p g gives f' = p g'.  Listing
     them builds one RootModP each (about 11 us and 1 KB each through the
-    CLI), so that is refused above MAX_LISTED_RESIDUES.
+    CLI), so that is refused above DEFAULT_NODE_BUDGET.
     """
     prime = as_prime(p)
     q = prime.p
     h = reduce_mod_p(f - target, prime)
     if h.is_zero:
-        if q > MAX_LISTED_RESIDUES:
+        if q > DEFAULT_NODE_BUDGET:
             raise PadicDynError(
                 f"f(x) = {target} holds for every residue mod {q}; listing "
-                f"all of them is refused above {MAX_LISTED_RESIDUES}"
+                f"all of them is refused above {DEFAULT_NODE_BUDGET}"
             )
         return [RootModP(a, True, 0) for a in range(q)]
     dh = [i * c for i, c in enumerate(h.coeffs) if i]

@@ -10,25 +10,27 @@ form the root's PadicInt ladder, read on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Union
 
 from .errors import NotARootError, SingularRootError
-from .padic import CoherentSequence, PadicInt, Prime, as_prime
+from .padic import CoherentSequence, Frozen, PadicInt, Prime, as_prime
 from .polynomial import IntPoly, eval_mod, horner_mod
 
 
-@dataclass(frozen=True)
-class LiftedRoot:
+class LiftedRoot(Frozen):
     """The unique root mod p^k of f = target lifting a nonsingular root
     mod p, as `root` in [0, p^k) with `precision` k."""
 
-    prime: Prime
-    root: int
-    precision: int
-    polynomial: IntPoly
-    target: int
+    _fields = ("prime", "root", "precision", "polynomial", "target")
+
+    def __init__(
+        self, prime: Prime, root: int, precision: int, polynomial: IntPoly, target: int
+    ):
+        self.__dict__.update(
+            prime=prime, root=root, precision=precision, polynomial=polynomial,
+            target=target,
+        )
 
     @cached_property
     def _padic(self) -> PadicInt:

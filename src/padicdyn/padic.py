@@ -10,10 +10,11 @@ across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 from .errors import NotAUnitError, NotPrimeError
 
@@ -46,15 +47,43 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Prime:
+class Frozen:
+    """Immutable value: __init__ sets the fields named in `_fields` once;
+    equality (within one class), hash and repr read them in order."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Prime(Frozen):
     """A verified prime base. Construction rejects composites."""
 
-    p: int
+    _fields = ("p",)
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise NotPrimeError(f"{self.p} is not prime")
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise NotPrimeError(f"{p} is not prime")
+        object.__setattr__(self, "p", p)
 
     def __int__(self) -> int:
         return self.p
@@ -141,6 +170,7 @@ def vp_rat(numerator: int, denominator: int, p: Union[int, Prime]) -> Valuation:
 def abs_p(numerator: int, denominator: int, p: Union[int, Prime]) -> Fraction:
     """p-adic absolute value p**(-vp) of numerator/denominator, as an exact
     Fraction. Zero input gives Fraction(0)."""
+    from fractions import Fraction
     v = vp_rat(numerator, denominator, p)
     if v is INFINITY:
         return Fraction(0)
@@ -150,17 +180,14 @@ def abs_p(numerator: int, denominator: int, p: Union[int, Prime]) -> Fraction:
     return Fraction(q ** (-v))
 
 
-@dataclass(frozen=True, init=False)
-class PadicInt:
+class PadicInt(Frozen):
     """Truncated p-adic integer: the residue `value` in [0, p^k), k the
     precision, built from its base-p digits (a_0, ..., a_{k-1}) or by
     `from_int`.  Arithmetic requires identical base and precision; no
     silent truncation happens.
     """
 
-    prime: Prime
-    precision: int
-    value: int
+    _fields = ("prime", "precision", "value")
 
     def __init__(self, prime: Prime, precision: int, digits: Sequence[int]):
         if precision < 1:
@@ -278,8 +305,7 @@ def check_coherent(
     return True, None
 
 
-@dataclass(frozen=True)
-class CoherentSequence:
+class CoherentSequence(Frozen):
     """A finite inverse-limit element: terms (x_1, ..., x_N) with x_n a
     residue mod p^n and consecutive terms compatible under reduction.
 
@@ -287,16 +313,15 @@ class CoherentSequence:
     is rejected with the first violating index.
     """
 
-    prime: Prime
-    terms: tuple[int, ...]
+    _fields = ("prime", "terms")
 
-    def __post_init__(self):
-        q = self.prime.p
-        reduced = tuple(t % q ** (i + 1) for i, t in enumerate(self.terms))
-        object.__setattr__(self, "terms", reduced)
-        ok, bad = check_coherent(reduced, self.prime)
+    def __init__(self, prime: Prime, terms: Sequence[int]):
+        q = prime.p
+        reduced = tuple(t % q ** (i + 1) for i, t in enumerate(terms))
+        ok, bad = check_coherent(reduced, prime)
         if not ok:
             raise ValueError(f"sequence is not coherent at index {bad}")
+        self.__dict__.update(prime=prime, terms=reduced)
 
     def __len__(self) -> int:
         return len(self.terms)

@@ -8,10 +8,9 @@ evaluation at lifted roots modulo large prime powers never overflows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .padic import Prime, as_prime
+from .padic import Frozen, Prime, as_prime
 
 
 def _canonical(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -21,14 +20,13 @@ def _canonical(coeffs: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(Frozen):
     """Polynomial in one variable with integer coefficients."""
 
-    coeffs: tuple[int, ...] = ()
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _canonical(self.coeffs))
+    def __init__(self, coeffs: Iterable[int] = ()):
+        object.__setattr__(self, "coeffs", _canonical(coeffs))
 
     @classmethod
     def zero(cls) -> "IntPoly":
@@ -192,20 +190,18 @@ def format_poly(f: IntPoly) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class FpPoly:
+class FpPoly(Frozen):
     """Polynomial over F_p: canonical residue coefficients, constant first.
 
     Construction reduces each coefficient mod p and strips trailing
     zeros, so equality is plain field-wise equality.
     """
 
-    prime: Prime
-    coeffs: tuple[int, ...] = ()
+    _fields = ("prime", "coeffs")
 
-    def __post_init__(self):
-        q = self.prime.p
-        object.__setattr__(self, "coeffs", _canonical(c % q for c in self.coeffs))
+    def __init__(self, prime: Prime, coeffs: Iterable[int] = ()):
+        q = prime.p
+        self.__dict__.update(prime=prime, coeffs=_canonical(c % q for c in coeffs))
 
     @classmethod
     def from_int_poly(cls, f: IntPoly, p: Union[int, Prime]) -> "FpPoly":

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -6,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+import padicdyn
 from padicdyn import (
+    backward,
     IntPoly,
     backward_tree,
     distance_first_difference,
@@ -502,3 +505,26 @@ class TestSerialization:
         tree = backward_tree(SQUARE, 0, 5, 2, 1)
         dot = tree.to_dot()
         assert 'n1 [label="0 (mod 5)", shape=box, style=filled, fillcolor=gray80];' in dot
+
+
+class TestLazyNodeType:
+    # BackwardNode lives in padicdyn.node, reached through a module
+    # __getattr__ in padicdyn and padicdyn.backward
+    def test_node_type_is_one_dataclass(self):
+        assert padicdyn.BackwardNode is backward.BackwardNode
+        assert dataclasses.is_dataclass(backward.BackwardNode)
+        node = backward_tree(SQUARE, 2, 7, 1, 1).root
+        assert type(node) is padicdyn.BackwardNode
+        assert dataclasses.replace(node, value=3).value == 3
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from padicdyn import *", namespace)
+        assert set(padicdyn.__all__) <= namespace.keys()
+        assert namespace["BackwardNode"] is backward.BackwardNode
+
+    @pytest.mark.parametrize("module", [padicdyn, backward])
+    def test_unknown_attribute_raises(self, module):
+        with pytest.raises(AttributeError, match="NoSuchName"):
+            module.NoSuchName
+        assert getattr(module, "NoSuchName", None) is None

@@ -54,13 +54,15 @@ def timed(call, *args):
     return time.perf_counter() - start
 
 
-def loaded_after(code):
-    """Run `code` in a fresh interpreter; whether numpy and
-    concurrent.futures are loaded after it, and how many threads run."""
+def loaded_after(code, *modules):
+    """Run `code` in a fresh interpreter; whether each of `modules`
+    (numpy and concurrent.futures unless given) is loaded after it, and
+    how many threads run."""
+    modules = list(modules or ("numpy", "concurrent.futures"))
     proc = run_python("-c", code + (
         "\nimport json, sys, threading\n"
-        "print(json.dumps(['numpy' in sys.modules, 'concurrent.futures' in "
-        "sys.modules, threading.active_count()]))"
+        f"print(json.dumps([m in sys.modules for m in {modules!r}] + "
+        "[threading.active_count()]))"
     ))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -656,6 +658,46 @@ class TestLazyNumpy:
             "congruence.solve_congruence_bruteforce("
             "parse_poly('x^2+1'), 0, congruence._VECTOR_MIN)"
         ) == [True, False, 1]
+
+
+class TestImportFootprint:
+    # each reports [dataclasses loaded, fractions loaded, threads]: the
+    # value classes are plain classes, fractions is imported by the
+    # distances that return one, and BackwardNode, a dataclass, loads
+    # with the first tree
+    def test_importing_the_package_and_cli_skips_dataclasses_and_fractions(self):
+        assert loaded_after(
+            "import padicdyn, padicdyn.cli", "dataclasses", "fractions"
+        ) == [False, False, 1]
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["roots", "--poly=x^2", "--prime=7", "--target=2"], [False, False]),
+        (["oracle", "--poly=x^2-7x+2", "--modulus=10"], [False, False]),
+        (["lift", "--poly=x^2-2", "--prime=7", "--precision=3", "--seed=3"],
+         [False, False]),
+        (["preimages", "--poly=x^2", "--prime=7", "--precision=2", "--target=2"],
+         [False, False]),
+        (["orbit", "--poly=x^2", "--prime=7", "--precision=1", "--seed=3",
+          "--steps=3"], [False, False]),
+        (["dist", "--s=0,2,0", "--t=0,0,1", "--prime=5"], [False, True]),
+        (["dist", "--s=1,2", "--t=1,3", "--metric=first-diff"], [False, True]),
+        (["tree", "--poly=x^2", "--prime=7", "--precision=1", "--seed=2",
+          "--depth=2"], [True, False]),
+    ], ids=["roots", "oracle", "lift", "preimages", "orbit", "dist-series",
+            "dist-first-diff", "tree"])
+    def test_a_call_loads_only_what_it_uses(self, argv, loaded):
+        assert loaded_after(
+            f"from padicdyn import cli\nassert cli.main({argv!r}) == 0",
+            "dataclasses", "fractions",
+        ) == loaded + [1]
+
+    def test_importing_the_cli_loads_every_traced_module(self):
+        # perfbench's Tracer.install wraps functions only in modules
+        # already loaded when it runs, right after `import padicdyn.cli`:
+        # a module the CLI imported on first use would go uncounted
+        modules = ["padicdyn.backward", "padicdyn.congruence",
+                   "padicdyn.hensel", "padicdyn.parsing"]
+        assert loaded_after("import padicdyn.cli", *modules) == [True] * 4 + [1]
 
 
 class TestErrors:

@@ -3,17 +3,23 @@ from fractions import Fraction
 
 import pytest
 
+import padicdyn
 from padicdyn import (
     INFINITY,
     CoherentSequence,
+    FpPoly,
     IntPoly,
+    LiftedRoot,
     NotAUnitError,
     NotPrimeError,
+    OrbitResult,
     PadicInt,
     Prime,
+    RootModP,
     abs_p,
     as_prime,
     check_coherent,
+    forward_orbit,
     hensel_lift,
     is_prime,
     vp_int,
@@ -269,3 +275,72 @@ class TestCoherence:
         seq = x.coherent_sequence()
         assert seq.terms == (3, 10, 108)
         assert seq.to_padic() == x
+
+
+# (value, a field of it, its repr): each repr is the dataclass text these
+# classes printed before they became plain classes, and reads back as a
+# construction by field name
+VALUES = [
+    (lambda: IntPoly((1, 2)), "coeffs", "IntPoly(coeffs=(1, 2))"),
+    (lambda: FpPoly(Prime(7), (8, 1, 0)), "prime",
+     "FpPoly(prime=Prime(7), coeffs=(1, 1))"),
+    (lambda: Prime(7), "p", "Prime(7)"),
+    (lambda: PadicInt.from_int(10, 7, 2), "value",
+     "PadicInt(prime=Prime(7), precision=2, value=10)"),
+    (lambda: CoherentSequence(Prime(7), (3, 10)), "terms",
+     "CoherentSequence(prime=Prime(7), terms=(3, 10))"),
+    (lambda: RootModP(3, False, 6), "singular",
+     "RootModP(residue=3, singular=False, derivative_residue=6)"),
+    (lambda: hensel_lift(IntPoly((-2, 0, 1)), 3, 2, 7), "root",
+     "LiftedRoot(prime=Prime(7), root=10, precision=2, "
+     "polynomial=IntPoly(coeffs=(-2, 0, 1)), target=0)"),
+    (lambda: forward_orbit(IntPoly((0, 0, 1)), 2, 7, 1, 3), "cycle_length",
+     "OrbitResult(terms=(2, 4, 2, 4), tail_length=0, cycle_length=2)"),
+]
+VALUE_IDS = [text.partition("(")[0] for _, _, text in VALUES]
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize("make, field, text", VALUES, ids=VALUE_IDS)
+    def test_equal_values_compare_and_hash_equal(self, make, field, text):
+        a, b = make(), make()
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b) == text
+
+    @pytest.mark.parametrize("make, field, text", VALUES, ids=VALUE_IDS)
+    def test_fields_are_read_only(self, make, field, text):
+        x = make()
+        before = getattr(x, field)
+        with pytest.raises(AttributeError):
+            setattr(x, field, before)
+        with pytest.raises(AttributeError):
+            delattr(x, field)
+        with pytest.raises(AttributeError):
+            x.extra = 1
+        assert getattr(x, field) == before and repr(x) == text
+
+    @pytest.mark.parametrize("make, field, text", VALUES, ids=VALUE_IDS)
+    def test_repr_reads_back_by_field_name(self, make, field, text):
+        if text.startswith("PadicInt"):
+            # PadicInt is built from digits; its value is derived
+            assert PadicInt(prime=Prime(7), precision=2, digits=(3, 1)) == make()
+        else:
+            assert eval(text, vars(padicdyn)) == make()
+
+    def test_equality_needs_the_same_class(self):
+        assert IntPoly((1,)) != FpPoly(Prime(7), (1,))
+        assert IntPoly((1,)) != (1,)
+        assert RootModP(3, False, 6) != (3, False, 6)
+        assert len({IntPoly((1, 2)), IntPoly([1, 2, 0]), IntPoly((2,))}) == 2
+
+    def test_cached_views_leave_equality_alone(self):
+        a, b = PadicInt.from_int(108, 7, 3), PadicInt.from_int(108, 7, 3)
+        assert a.digits == (3, 1, 2)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "PadicInt(prime=Prime(7), precision=3, value=108)"
+        root = hensel_lift(IntPoly((-2, 0, 1)), 3, 3, 7)
+        assert root.ladder == (3, 10, 108)
+        assert root == LiftedRoot(Prime(7), 108, 3, IntPoly((-2, 0, 1)), 0)
+        assert OrbitResult((1,), None, None).preperiodic is False
