@@ -67,7 +67,9 @@ def preimages(
         for a in (seeds[:-1] if split else seeds)
     ]
     if split:
-        lifted.append((-(f - target).coeff(d - 1) - sum(lifted)) % m)
+        # c_(d-1) of f - target, which differs from f's only at d = 1
+        c = f.coeff(d - 1) - (target if d == 1 else 0)
+        lifted.append((-c - sum(lifted)) % m)
     return sorted(lifted), singular
 
 

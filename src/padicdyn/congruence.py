@@ -5,13 +5,17 @@ root finder whose cost is polynomial in deg f and log p.  The oracle
 handles any modulus up to a configured bound and is the independent
 cross-check used throughout the test suite: it is exhaustive per
 prime-power factor, joined by CRT, and calls no root finder or lifter.
-It evaluates large moduli with numpy, which is imported on the first
-such call only, so importing this module (and the CLI) never loads it.
-The numpy scan runs Horner's rule in int64 and reduces mod the factor
-only before a step that an exact bound says could pass 2^63 - 1, and
-once at the end; the plain loop reduces at every step.  A factor
-larger than _BLOCK is scanned in blocks of _BLOCK residues, which
-reduce by floor division.
+A modulus of at least 2^16 may be scanned and joined with numpy,
+imported on first use only, so importing this module (and the CLI)
+never loads it.  Each prime-power factor of such a modulus takes the
+numpy scan when it has more than _LOOP_FACTOR_MAX residues and the
+plain loop otherwise; a smaller modulus takes the loop for every
+factor.  The numpy scan runs Horner's rule in int64 and reduces mod
+the factor only before a step that an exact bound says could pass
+2^63 - 1, and once at the end; the plain loop reduces at every step.
+A factor larger than _BLOCK is scanned in blocks of _BLOCK residues,
+and a factor of at least _DIVIDE_MIN residues reduces by floor
+division.
 """
 
 from __future__ import annotations
@@ -34,22 +38,38 @@ DEFAULT_ORACLE_BOUND = 10**7
 # where int64 could overflow, which needs (m - 1)^2 + (m - 1) < 2^63 right
 # after a reduction; _VECTOR_MAX = 2^31 keeps that below m^2 <= 2^62.
 #
+# Past that gate the scanner is chosen per factor q.  A numpy scan costs
+# 9 to 12 us at any q below 64 at degree 2 to 4, the loop 0.2 to 0.3 us
+# per residue there: they cross at q of about 45 to 60.  At x^10000 - x
+# the numpy scan's two calls per coefficient make it 13 to 15 ms per
+# factor, and the loop passes it between q = 32 (12 ms) and 37 (16 ms).
+# So a factor of at most _LOOP_FACTOR_MAX = 32 residues takes the loop,
+# which is the faster at every degree measured.
+#
 # A factor q > _BLOCK is scanned in blocks of _BLOCK residues, one after
 # another, on three buffers reused from block to block: at 2^14 int64
 # entries they take 384 KiB, inside the 2 MiB L2 cache of the VM's Xeon.
-# The blocks reduce as acc - (acc // q) * q, since numpy divides int64 by
-# a scalar through libdivide: 0.86 ms for those three passes over 3 * 10^5
-# elements, against 1.28 ms for one np.remainder, which a scan of one
-# block keeps.  On the oracle_scan inputs of seed 1 (factors up to 2^19,
-# degree 2 to 4, each call followed by its check as in the benchmark),
-# the 95th percentile call took 2.3 to 2.4 ms as one block, and in blocks
-# of 2^13, 2^14, 2^15 and 2^16 residues 1.6, 1.45, 1.5 and 2.3 to 2.6 ms;
-# blocks of 2^14 that reduce by np.remainder took 1.9 ms.  Scanning the
-# blocks on two threads, one per vCPU, took it to 6 to 7 ms instead: the
+# On the oracle_scan inputs of seed 1 (factors up to 2^19, degree 2 to
+# 4, each call followed by its check as in the benchmark), the 95th
+# percentile call took 2.3 to 2.4 ms as one block, and in blocks of 2^13,
+# 2^14, 2^15 and 2^16 residues 1.6, 1.45, 1.5 and 2.3 to 2.6 ms; blocks
+# of 2^14 that reduce by np.remainder took 1.9 ms.  Scanning the blocks
+# on two threads, one per vCPU, took it to 6 to 7 ms instead: the
 # threads hand the GIL to each other between numpy calls.
+#
+# A factor of at least _DIVIDE_MIN residues reduces as
+# acc - (acc // q) * q, since numpy divides int64 by a scalar through
+# libdivide, and a smaller one by np.remainder, which is one pass and
+# needs no quotient buffer.  Per array of n entries below 2^62 the three
+# passes take 3.8 us against 3.5 us at n = 2^9, 3.8 against 4.8 at 2^10,
+# 5.5 against 8.7 at 2^11 and 26 against 63 at 2^14.  Over whole scans
+# at degree 2 to 5, np.remainder is ahead by about 3 us at q = 509,
+# level at 773, and 3 to 6 % behind at q = 1021 and 10 to 17 % at 2039.
 _VECTOR_MIN = 2**16
 _VECTOR_MAX = 2**31
 _BLOCK = 2**14
+_LOOP_FACTOR_MAX = 32
+_DIVIDE_MIN = 2**10
 # The numpy CRT join costs about 50 us for its calls on a few factors,
 # the plain one about 0.4 us per solution: they are level at 200 to 300
 # solutions (64 us against 27 us at 64, 150 us against 290 us at 648).
@@ -150,7 +170,7 @@ def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
     size = min(m, _BLOCK)
     xs = np.arange(size, dtype=np.int64)
     acc = np.empty(size, dtype=np.int64)
-    quot = np.empty(size, dtype=np.int64) if m > size else None
+    quot = np.empty(size, dtype=np.int64) if m >= _DIVIDE_MIN else None
 
     def reduce(acc, quot):
         if quot is None:
@@ -166,8 +186,12 @@ def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
             xs += size
         if lo + size > m:
             xs, acc, quot = xs[: m - lo], acc[: m - lo], quot[: m - lo]
-        acc.fill(lead)
-        for wide, c in steps:
+        if steps:  # the first step never overflows: lead * (m - 1) + c < m^2
+            np.multiply(xs, lead, out=acc)
+            acc += steps[0][1]
+        else:
+            acc.fill(lead)
+        for wide, c in steps[1:]:
             if wide:
                 reduce(acc, quot)
             np.multiply(acc, xs, out=acc)
@@ -176,6 +200,11 @@ def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
             reduce(acc, quot)
         hits += (np.flatnonzero(acc == target) + lo).tolist()
     return hits
+
+
+def _numpy_scans(q: int, m: int) -> bool:
+    """Whether the oracle scans the prime-power factor q of m with numpy."""
+    return _VECTOR_MIN <= m <= _VECTOR_MAX and q > _LOOP_FACTOR_MAX
 
 
 def _prime_power_factors(m: int) -> list[int]:
@@ -234,7 +263,10 @@ def solve_congruence_bruteforce(
 
     x solves the congruence mod m exactly when it does so mod each
     prime-power factor q of m, so each q is scanned exhaustively and the
-    residue sets are joined by CRT.  Any modulus >= 2 is accepted up to
+    residue sets are joined by CRT.  From m = 2^16 a factor of more than
+    32 residues is scanned with numpy and a smaller one with the plain
+    loop, which beats numpy's fixed cost per call there; below 2^16
+    every factor takes the loop.  Any modulus >= 2 is accepted up to
     `bound` (default 10^7), which keeps exhaustion tractable.  More than
     `max_solutions` solutions, when it is given, are refused before they
     are joined: the zero polynomial has m of them.
@@ -243,10 +275,9 @@ def solve_congruence_bruteforce(
         raise ValueError("modulus must be at least 2")
     if m > bound:
         raise ValueError(f"modulus {m} exceeds the exhaustion bound {bound}")
-    vectorized = _VECTOR_MIN <= m <= _VECTOR_MAX
-    scan = _bruteforce_vectorized if vectorized else _bruteforce_python
     parts = []
     for q in _prime_power_factors(m):
+        scan = _bruteforce_vectorized if _numpy_scans(q, m) else _bruteforce_python
         residues = scan([c % q for c in f.coeffs], target % q, q)
         if not residues:
             return []
@@ -257,5 +288,6 @@ def solve_congruence_bruteforce(
             f"{count} solutions mod {m}; listing more than {max_solutions} "
             "is refused"
         )
+    vectorized = _VECTOR_MIN <= m <= _VECTOR_MAX
     join = _crt_vectorized if vectorized and count >= _CRT_VECTOR_MIN else _crt_python
     return join(parts)

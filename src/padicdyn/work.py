@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 
-from .congruence import _BLOCK, _VECTOR_MIN, _prime_power_factors
+from .congruence import _BLOCK, _numpy_scans, _prime_power_factors
 from .errors import BudgetExceededError
 from .polynomial import IntPoly
 
@@ -153,22 +153,24 @@ def oracle(f: IntPoly, m: int) -> int:
     int64 could overflow.  The vectorized scan also makes two numpy
     calls per coefficient for each block of up to _BLOCK residues of
     each factor, each 0.7 to 1.5 us whatever its length, charged at
-    2 us: for a modulus of many small factors and a high degree they
-    are most of the time.  The scanner is chosen by m, as the oracle
-    chooses it.  Finding the factors by trial division tries at most
-    isqrt(m) / 2 + 1 divisors, about 140 ns each.  (numpy's import, about
-    0.15 s, is left to the limit's margin.)  The rates were fitted before
-    large factors were scanned in cache-sized blocks, which made those
-    scans faster; they are not lowered for it, so the estimate stays an
-    upper bound."""
+    2 us.  Each factor is charged by the scanner the oracle gives it,
+    numpy or the loop, as _numpy_scans decides.  Finding the factors
+    by trial division tries at most isqrt(m) / 2 + 1 divisors, about
+    140 ns each.  (numpy's import, about 0.15 s, is left to the limit's
+    margin.)  The rates were fitted before large factors were scanned
+    in cache-sized blocks, which made those scans faster; they are not
+    lowered for it, so the estimate stays an upper bound."""
     terms = max(f.degree + 1, 1)
     factors = _prime_power_factors(m)
-    residues = sum(factors)
-    trials = 14 * (math.isqrt(m) // 2 + 1)
-    if m < _VECTOR_MIN:
-        return residues * (10 + 16 * terms) + trials
-    blocks = sum(-(-q // _BLOCK) for q in factors)
-    return residues * (1 + terms) + blocks * terms * 2 * _NUMPY_CALL + trials
+    vectorized = [q for q in factors if _numpy_scans(q, m)]
+    looped = sum(factors) - sum(vectorized)
+    blocks = sum(-(-q // _BLOCK) for q in vectorized)
+    return (
+        looped * (10 + 16 * terms)
+        + sum(vectorized) * (1 + terms)
+        + blocks * terms * 2 * _NUMPY_CALL
+        + 14 * (math.isqrt(m) // 2 + 1)
+    )
 
 
 def tree_nodes(f: IntPoly, p: int, k: int) -> int:

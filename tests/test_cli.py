@@ -400,9 +400,10 @@ class TestWorkLimits:
         )
 
     def test_oracle_charges_the_numpy_calls_of_many_small_factors(self):
-        # eight factors of at most 19 residues, each scanned in two numpy
-        # calls per coefficient: 118.6 ms warm on a 2-vCPU x86 VM, which
-        # was estimated at 7.9 ms before the calls were charged
+        # eight factors of at most 19 residues, which take the plain loop:
+        # 30 ms warm on a 2-vCPU x86 VM against an estimate of 123 ms.  When
+        # numpy scanned them, in two calls per coefficient, this took
+        # 118.6 ms and was estimated at 7.9 ms until the calls were charged
         f, m = parse_poly("x^10000-x"), 9699690
         congruence.solve_congruence_bruteforce(IntPoly((0, 1)), 0, 2**16 + 1)  # numpy
         elapsed = min(
@@ -649,6 +650,17 @@ class TestLazyNumpy:
         assert loaded_after(
             "from padicdyn import cli\n"
             "cli.main(['oracle', '--poly=5x^2-7x+3', '--modulus=9999', '--target=1'])"
+        ) == [False, False, 1]
+
+    @pytest.mark.parametrize("poly", ["x^2+1", "x^2-1"])
+    def test_oracle_of_small_factors_skips_numpy(self, poly):
+        # 510510 = 2 * 3 * 5 * ... * 17 is at least 2^16, but every factor
+        # takes the plain loop.  x^2 + 1 has no root mod 3; x^2 - 1 has
+        # one mod 2 and two mod each odd prime, so all seven are scanned
+        # and their 64 solutions joined in plain Python
+        assert loaded_after(
+            "from padicdyn import cli\n"
+            f"assert cli.main(['oracle', '--poly={poly}', '--modulus=510510']) == 0"
         ) == [False, False, 1]
 
     def test_oracle_at_the_cutoff_loads_numpy(self):

@@ -174,13 +174,30 @@ class TestBruteForceOracle:
             f = f * IntPoly((-r, 1))
         assert f.coeffs[-1] % q == q - 1
         # over the field F_q a product of distinct linear factors has
-        # exactly their roots.  q spans 128 blocks, which reduce by floor
-        # division, the roots falling in the last; one block of q
-        # residues reduces by np.remainder.
+        # exactly their roots.  q spans 128 blocks, the roots falling in
+        # the last, or one block of q residues; both reduce by floor
+        # division, as q is at least _DIVIDE_MIN.
         assert q > 100 * congruence._BLOCK
         assert solve_congruence_bruteforce(f, 0, q) == sorted(roots)
         monkeypatch.setattr(congruence, "_BLOCK", q)
         assert solve_congruence_bruteforce(f, 0, q) == sorted(roots)
+
+    @pytest.mark.parametrize("q", [509, 521])
+    def test_int64_overflow_boundary_of_np_remainder(self, q):
+        # Both are primes below _DIVIDE_MIN, so they reduce by
+        # np.remainder.  A degree-7 scan whose lead is q - 1 stays below
+        # 2^63 through its sixth step for the first, and passes it there
+        # for the second, which must reduce before that step.  It passes
+        # 2^63 only at x near q - 1, so the roots are drawn from there.
+        assert (sum((q - 1) ** i for i in range(1, 8)) < 2**63) == (q < 2**9)
+        assert q < congruence._DIVIDE_MIN
+        roots = sorted(random.Random(q).sample(range(q - 16, q), 7))
+        f = IntPoly((q - 1,))
+        for r in roots:
+            f = f * IntPoly((-r, 1))
+        coeffs = [c % q for c in f.coeffs]
+        assert congruence._bruteforce_vectorized(coeffs, 0, q) == roots
+        assert congruence._bruteforce_python(coeffs, 0, q) == roots
 
     def test_both_sides_of_the_vector_cutoff_match_the_loop(self, monkeypatch):
         from padicdyn import congruence
@@ -371,6 +388,50 @@ class TestBlockedScan:
                 answers.append(congruence._bruteforce_vectorized(coeffs, c, q))
             assert r in answers[0]
             assert all(a == answers[0] for a in answers)
+
+
+class TestScannerPerFactor:
+    @pytest.mark.parametrize("q", [
+        congruence._LOOP_FACTOR_MAX, congruence._LOOP_FACTOR_MAX + 1,
+        congruence._DIVIDE_MIN - 1, congruence._DIVIDE_MIN,
+    ])
+    def test_loop_and_numpy_agree_around_the_cutoffs(self, q):
+        # the largest factor the loop takes and the smallest numpy takes,
+        # and the two sides of the switch to floor division; neither
+        # scanner needs q to be a prime power
+        rng = random.Random(107 + q)
+        polys = [[], [rng.randrange(q)], [q - 1]]  # zero and constants
+        for degree in range(6):
+            polys.append([rng.randrange(q) for _ in range(degree + 1)])
+            # coefficients near q make the numpy scan's values widest
+            polys.append([rng.randrange(q - 8, q) for _ in range(degree + 1)])
+        for coeffs in polys:
+            r = rng.randrange(q)
+            value = sum(c * r**i for i, c in enumerate(coeffs)) % q
+            for c in (value, rng.randrange(q), q - 1):
+                got = congruence._bruteforce_vectorized(coeffs, c, q)
+                assert got == congruence._bruteforce_python(coeffs, c, q)
+                assert c != value or r in got
+
+    @pytest.mark.parametrize("m, loop, numpy", [
+        (2**5 * 3**7, [32], [2187]),
+        (31 * 37 * 61, [31], [37, 61]),
+        (2**16, [], [2**16]),
+        (2 * 3 * 5 * 7 * 11 * 13 * 17, [2, 3, 5, 7, 11, 13, 17], []),
+        (2**5 * 37, [32, 37], []),  # below 2^16 every factor takes the loop
+    ])
+    def test_each_factor_takes_the_scanner_its_size_picks(self, m, loop, numpy,
+                                                          monkeypatch):
+        calls = {"_bruteforce_python": [], "_bruteforce_vectorized": []}
+        for name, seen in calls.items():
+            def spy(coeffs, target, q, scan=getattr(congruence, name), seen=seen):
+                seen.append(q)
+                return scan(coeffs, target, q)
+            monkeypatch.setattr(congruence, name, spy)
+        f = IntPoly((-1, 0, 1))  # x^2 = 1 has a root mod every factor
+        got = solve_congruence_bruteforce(f, 0, m)
+        assert calls == {"_bruteforce_python": loop, "_bruteforce_vectorized": numpy}
+        assert got == [x for x in range(m) if (x * x - 1) % m == 0]
 
 
 class TestListingBound:
