@@ -176,7 +176,7 @@ def _resolve_node_budget(args) -> int:
         raise PadicDynError(f"{ENV_MAX_NODES} must be an integer, got {env_budget!r}")
 
 
-def _cmd_tree(args, f: IntPoly, prime: Prime) -> tuple[dict, list[str]]:
+def _cmd_tree(args, f: IntPoly, prime: Prime) -> tuple[dict | None, list[str]]:
     budget = _resolve_node_budget(args)
     # a tree of depth 0 is its seed alone
     cap = work.tree_nodes(f, prime.p, args.precision) if args.depth > 0 else budget
@@ -188,14 +188,16 @@ def _cmd_tree(args, f: IntPoly, prime: Prime) -> tuple[dict, list[str]]:
         if cap < budget:
             message += f"; the work limit allows {cap} nodes here"
         raise BudgetExceededError(message)
+    if args.format == "json":
+        return tree.to_json_dict(), []
     if args.format == "dot":
-        return tree.to_json_dict(), [tree.to_dot().rstrip("\n")]
+        return None, [tree.to_dot().rstrip("\n")]
     lines = [
         f"{n.id} depth={n.depth} value={n.value} status={n.status} "
         f"parent={'-' if n.parent is None else n.parent}"
         for n in tree.nodes
     ]
-    return tree.to_json_dict(), lines
+    return None, lines
 
 
 def _cmd_orbit(args, f: IntPoly, prime: Prime) -> tuple[dict, list[str]]:
@@ -267,13 +269,15 @@ MAX_NODES = {
 
 class Command:
     # flags: each flag in order, with its add_argument keywords;
-    # handler(args, f, prime) returns the JSON payload and the table lines
+    # handler(args, f, prime) returns the JSON payload and the table lines;
+    # main reads the payload only for --format json, so a handler whose
+    # payload is costly (tree) builds just the one its format prints
     __slots__ = ("help", "handler", "flags", "formats")
 
     def __init__(
         self,
         help: str,
-        handler: Callable[..., tuple[dict, Iterable[str]]],
+        handler: Callable[..., tuple[dict | None, Iterable[str]]],
         flags: dict[str, dict],
         formats: tuple[str, ...] = ("json", "table"),
     ):

@@ -10,12 +10,15 @@ imported on first use only, so importing this module (and the CLI)
 never loads it.  Each prime-power factor of such a modulus takes the
 numpy scan when it has more than _LOOP_FACTOR_MAX residues and the
 plain loop otherwise; a smaller modulus takes the loop for every
-factor.  The numpy scan runs Horner's rule in int64 and reduces mod
-the factor only before a step that an exact bound says could pass
-2^63 - 1, and once at the end; the plain loop reduces at every step.
-A factor larger than _BLOCK is scanned in blocks of _BLOCK residues,
-and a factor of at least _DIVIDE_MIN residues reduces by floor
-division.
+factor.  The numpy scan runs Horner's rule in int64, skips the addition
+of a zero coefficient, and reduces mod the factor only before a step
+that an exact bound says could pass 2^63 - 1; the plain loop reduces at
+every step.  A factor larger than _BLOCK is scanned in blocks of _BLOCK
+residues, and a factor of at least _DIVIDE_MIN residues reduces by
+floor division.  An odd factor of at least _DIVIDE_MIN residues takes
+the target into the constant term and finds its hits by an exact test
+of divisibility, one multiplication mod 2^64 and one comparison; every
+other factor reduces once at the end and compares with the target.
 """
 
 from __future__ import annotations
@@ -41,10 +44,13 @@ DEFAULT_ORACLE_BOUND = 10**7
 # Past that gate the scanner is chosen per factor q.  A numpy scan costs
 # 9 to 12 us at any q below 64 at degree 2 to 4, the loop 0.2 to 0.3 us
 # per residue there: they cross at q of about 45 to 60.  At x^10000 - x
-# the numpy scan's two calls per coefficient make it 13 to 15 ms per
-# factor, and the loop passes it between q = 32 (12 ms) and 37 (16 ms).
-# So a factor of at most _LOOP_FACTOR_MAX = 32 residues takes the loop,
-# which is the faster at every degree measured.
+# the numpy scan made two calls per coefficient, 13 to 15 ms per factor,
+# and the loop passed it between q = 32 (12 ms) and 37 (16 ms).  So a
+# factor of at most _LOOP_FACTOR_MAX = 32 residues takes the loop.  Now
+# that the scan skips the addition of a zero coefficient, x^10000 - x
+# takes it 7 ms at any q up to 37, against 6, 9, 11 and 17 ms in the loop
+# at q = 17, 23, 32 and 37: a sparse f of high degree would gain from a
+# lower cutoff, a dense f of degree 2 to 4 would lose.
 #
 # A factor q > _BLOCK is scanned in blocks of _BLOCK residues, one after
 # another, on three buffers reused from block to block: at 2^14 int64
@@ -65,6 +71,23 @@ DEFAULT_ORACLE_BOUND = 10**7
 # 5.5 against 8.7 at 2^11 and 26 against 63 at 2^14.  Over whole scans
 # at degree 2 to 5, np.remainder is ahead by about 3 us at q = 509,
 # level at 773, and 3 to 6 % behind at q = 1021 and 10 to 17 % at 2039.
+#
+# An odd factor q of at least _DIVIDE_MIN residues skips the reduction
+# at the end.  The constant term becomes (c_0 - target) mod q, so x is a
+# hit exactly when q divides the final acc, which the bound keeps in
+# [0, 2^63).  For odd q, n -> n * q^-1 mod 2^64 permutes [0, 2^64) and
+# takes k * q to k, so it sends the multiples of q below 2^64 onto
+# [0, (2^64 - 1) // q] and every other n above it (Granlund and
+# Montgomery, PLDI 1994; Lemire, Kaser and Kurz, SPE 49(6), 2019).  The
+# test is two passes, an in-place multiply of acc read as uint64 and a
+# comparison, against four (floor division, multiply, subtract,
+# compare).  Whole scans (best of 21 runs of 5 in one process) went
+# from 344, 397 and 545 us to 243, 292 and 482 us at q = 65521 and
+# degree 2, 3 and 4, and from 1125, 1793 and 2617 us to 777, 1495 and
+# 2278 us at 262139; degree 4 gains less as it still reduces once
+# mid-scan; the saving is about 25 us per block of 2^14 residues.  Below
+# _DIVIDE_MIN and for even q (a power of 2, which has no inverse mod
+# 2^64) the scan still reduces at the end and compares with the target.
 _VECTOR_MIN = 2**16
 _VECTOR_MAX = 2**31
 _BLOCK = 2**14
@@ -153,8 +176,17 @@ def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
     # already reduced into [0, m) and 0 <= x < m, so acc never goes
     # negative and `bound`, an exact upper bound on its entries, decides
     # before which steps to reduce; the same steps serve every block.
+    # An odd m of at least _DIVIDE_MIN residues takes the target into the
+    # constant term, as (c_0 - target) mod m, so x is a hit exactly when
+    # m divides its final acc; that is tested without a last reduction,
+    # as the comment above _VECTOR_MIN explains.
     import numpy as np
 
+    divisible = m % 2 == 1 and m >= _DIVIDE_MIN
+    if divisible:
+        coeffs = [((coeffs[0] if coeffs else 0) - target) % m, *coeffs[1:]]
+        inverse = np.uint64(pow(m, -1, 2**64))
+        limit = np.uint64((2**64 - 1) // m)
     lead = coeffs[-1] if coeffs else 0
     steps = []
     bound = lead
@@ -188,17 +220,26 @@ def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
             xs, acc, quot = xs[: m - lo], acc[: m - lo], quot[: m - lo]
         if steps:  # the first step never overflows: lead * (m - 1) + c < m^2
             np.multiply(xs, lead, out=acc)
-            acc += steps[0][1]
+            if steps[0][1]:
+                acc += steps[0][1]
         else:
             acc.fill(lead)
         for wide, c in steps[1:]:
             if wide:
                 reduce(acc, quot)
             np.multiply(acc, xs, out=acc)
-            acc += c
-        if bound >= m:
-            reduce(acc, quot)
-        hits += (np.flatnonzero(acc == target) + lo).tolist()
+            if c:
+                acc += c
+        if divisible:
+            # acc <= bound <= 2^63 - 1 reads the same as uint64
+            scaled = acc.view(np.uint64)
+            scaled *= inverse
+            found = scaled <= limit
+        else:
+            if bound >= m:
+                reduce(acc, quot)
+            found = acc == target
+        hits += (np.flatnonzero(found) + lo).tolist()
     return hits
 
 

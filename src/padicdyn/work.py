@@ -159,7 +159,9 @@ def oracle(f: IntPoly, m: int) -> int:
     140 ns each.  (numpy's import, about 0.15 s, is left to the limit's
     margin.)  The rates were fitted before large factors were scanned
     in cache-sized blocks, which made those scans faster; they are not
-    lowered for it, so the estimate stays an upper bound."""
+    lowered for it, so the estimate stays an upper bound.  The numpy scan
+    also skips the addition of a zero coefficient, which the estimate
+    still charges, so it over-charges a sparse f, which is safe."""
     terms = max(f.degree + 1, 1)
     factors = _prime_power_factors(m)
     vectorized = [q for q in factors if _numpy_scans(q, m)]

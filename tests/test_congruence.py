@@ -394,11 +394,15 @@ class TestScannerPerFactor:
     @pytest.mark.parametrize("q", [
         congruence._LOOP_FACTOR_MAX, congruence._LOOP_FACTOR_MAX + 1,
         congruence._DIVIDE_MIN - 1, congruence._DIVIDE_MIN,
+        # primes around _DIVIDE_MIN, from which an odd factor tests its
+        # hits by divisibility, and odd prime powers above it
+        1019, 1021, 1031, 1033, 3**7, 7**4, 5**5,
+        2**11,  # even: still reduces at the end and compares
     ])
     def test_loop_and_numpy_agree_around_the_cutoffs(self, q):
         # the largest factor the loop takes and the smallest numpy takes,
-        # and the two sides of the switch to floor division; neither
-        # scanner needs q to be a prime power
+        # and the two sides of the switch to floor division and to the
+        # divisibility test; neither scanner needs q to be a prime power
         rng = random.Random(107 + q)
         polys = [[], [rng.randrange(q)], [q - 1]]  # zero and constants
         for degree in range(6):
@@ -408,7 +412,9 @@ class TestScannerPerFactor:
         for coeffs in polys:
             r = rng.randrange(q)
             value = sum(c * r**i for i, c in enumerate(coeffs)) % q
-            for c in (value, rng.randrange(q), q - 1):
+            # at 2^64 mod q, a folded constant c_0 - target left unreduced
+            # would make -target wrap to a multiple of q as a uint64
+            for c in (value, rng.randrange(q), 0, q - 1, 2**64 % q):
                 got = congruence._bruteforce_vectorized(coeffs, c, q)
                 assert got == congruence._bruteforce_python(coeffs, c, q)
                 assert c != value or r in got
@@ -432,6 +438,71 @@ class TestScannerPerFactor:
         got = solve_congruence_bruteforce(f, 0, m)
         assert calls == {"_bruteforce_python": loop, "_bruteforce_vectorized": numpy}
         assert got == [x for x in range(m) if (x * x - 1) % m == 0]
+
+    @pytest.mark.parametrize("q", [2**17, 2**17 + 29])
+    def test_loop_and_numpy_agree_over_many_blocks(self, q):
+        # 2^17 reduces at the end, the prime 2^17 + 29 tests divisibility;
+        # both span 8 or 9 blocks, with a root planted in the last
+        rng = random.Random(109 + q)
+        for degree in range(6):
+            coeffs = [rng.randrange(q - 8, q) for _ in range(degree + 1)]
+            r = rng.randrange(q - 1000, q)
+            value = sum(c * r**i for i, c in enumerate(coeffs)) % q
+            for c in (value, q - 1):
+                got = congruence._bruteforce_vectorized(coeffs, c, q)
+                assert got == congruence._bruteforce_python(coeffs, c, q)
+                assert c != value or r in got
+
+    def test_divisibility_at_the_top_of_int64(self):
+        # A degree-4 scan at the prime q = 2^21 - 9 with lead q - 1 reduces
+        # once, before its third step, and its last step then reaches up to
+        # (q - 1)^3 + (q - 1)^2 + (q - 1), within 2^-16 of 2^63 - 1.  The
+        # constant, after the target is taken into it, is q - 1 too, so the
+        # final values are the widest the divisibility test reads.
+        q = 2**21 - 9
+        top = (q - 1) ** 3 + (q - 1) ** 2 + q - 1
+        assert 2**63 - 2**47 < top < 2**63 <= (q - 1) ** 4
+        rng = random.Random(q)
+        roots = rng.sample(range(q - 64, q), 3)
+        roots.append(pow(math.prod(roots), -1, q))  # so the constant is q - 1
+        assert len(set(roots)) == 4
+        f = IntPoly((q - 1,))
+        for r in roots:
+            f = f * IntPoly((-r, 1))
+        coeffs = [c % q for c in f.coeffs]
+        assert coeffs[0] == coeffs[-1] == q - 1
+        # over F_q a product of distinct linear factors has exactly their
+        # roots; f = q - 1 at target q - 1 folds to the same constant
+        assert congruence._bruteforce_vectorized(coeffs, 0, q) == sorted(roots)
+        shifted = [q - 2, *coeffs[1:]]
+        assert congruence._bruteforce_vectorized(shifted, q - 1, q) == sorted(roots)
+
+    @pytest.mark.parametrize("q", [37, 1031, 3**7, 2**11])
+    def test_sparse_polynomials_match_the_loop(self, q):
+        # the numpy scan skips the addition of a zero coefficient, also in
+        # its first step; x^e - x and a few random sparse f of degree <= 40
+        rng = random.Random(113 + q)
+        polys = [[0, q - 1] + [0] * (e - 2) + [1] for e in (2, 3, 17, 40)]
+        for _ in range(4):
+            coeffs = [0] * (rng.randint(1, 40) + 1)
+            for i in rng.sample(range(len(coeffs)), min(3, len(coeffs))):
+                coeffs[i] = rng.randrange(q)
+            polys.append(coeffs)
+        for coeffs in polys:
+            r = rng.randrange(q)
+            value = sum(c * r**i for i, c in enumerate(coeffs)) % q
+            for c in (value, 0):
+                got = congruence._bruteforce_vectorized(coeffs, c, q)
+                assert got == congruence._bruteforce_python(coeffs, c, q)
+                assert c != value or r in got
+
+    def test_sparse_polynomial_through_the_oracle(self):
+        # 37 * 2^11 >= 2^16, so both factors take the numpy scan
+        m = 37 * 2**11
+        assert congruence._numpy_scans(37, m) and congruence._numpy_scans(2**11, m)
+        f = IntPoly((0, -1) + (0,) * 98 + (1,))
+        expected = [x for x in range(m) if (pow(x, 100, m) - x) % m == 0]
+        assert solve_congruence_bruteforce(f, 0, m) == expected
 
 
 class TestListingBound:
