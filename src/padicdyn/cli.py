@@ -105,8 +105,8 @@ def _cmd_roots(args, f: IntPoly, prime: Prime) -> tuple[dict, list[str]]:
 
 
 def _cmd_oracle(args, f: IntPoly, prime: None) -> tuple[dict, list[str]]:
-    # a modulus over the oracle's bound is refused before any work
-    m = min(args.modulus, congruence.DEFAULT_ORACLE_BOUND)
+    # a modulus outside [2, the oracle's bound] is refused before any work
+    m = min(max(args.modulus, 2), congruence.DEFAULT_ORACLE_BOUND)
     work.check(work.oracle(f, m), "the oracle's scan")
     solutions = congruence.solve_congruence_bruteforce(
         f, args.target, args.modulus, max_solutions=work.MAX_SOLUTIONS

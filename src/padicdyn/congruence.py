@@ -10,15 +10,14 @@ imported on first use only, so importing this module (and the CLI)
 never loads it.  Each prime-power factor of such a modulus takes the
 numpy scan when it has more than _LOOP_FACTOR_MAX residues and the
 plain loop otherwise; a smaller modulus takes the loop for every
-factor.  The numpy scan runs Horner's rule in int64, skips the addition
-of a zero coefficient, and reduces mod the factor only before a step
-that an exact bound says could pass 2^63 - 1; the plain loop reduces at
-every step.  A factor larger than _BLOCK is scanned in blocks of _BLOCK
-residues, and a factor of at least _DIVIDE_MIN residues reduces by
-floor division.  An odd factor of at least _DIVIDE_MIN residues takes
-the target into the constant term and finds its hits by an exact test
-of divisibility, one multiplication mod 2^64 and one comparison; every
-other factor reduces once at the end and compares with the target.
+factor.  The plain loop reduces at every step.  The numpy scan takes
+the target into the constant term and runs Horner's rule in int64 over
+blocks of up to _BLOCK residues.  It skips the addition of a zero
+coefficient and reduces mod the factor, by floor division, only before
+a step that an exact bound says could pass 2^63 - 1.  x is a hit when
+the factor divides its final value: an odd factor tests that by one
+multiplication mod 2^64 and one comparison, an even one by one floor
+division.
 """
 
 from __future__ import annotations
@@ -58,41 +57,28 @@ DEFAULT_ORACLE_BOUND = 10**7
 # On the oracle_scan inputs of seed 1 (factors up to 2^19, degree 2 to
 # 4, each call followed by its check as in the benchmark), the 95th
 # percentile call took 2.3 to 2.4 ms as one block, and in blocks of 2^13,
-# 2^14, 2^15 and 2^16 residues 1.6, 1.45, 1.5 and 2.3 to 2.6 ms; blocks
-# of 2^14 that reduce by np.remainder took 1.9 ms.  Scanning the blocks
-# on two threads, one per vCPU, took it to 6 to 7 ms instead: the
-# threads hand the GIL to each other between numpy calls.
+# 2^14, 2^15 and 2^16 residues 1.6, 1.45, 1.5 and 2.3 to 2.6 ms.
+# Scanning the blocks on two threads, one per vCPU, took it to 6 to 7 ms
+# instead: the threads hand the GIL to each other between numpy calls.
 #
-# A factor of at least _DIVIDE_MIN residues reduces as
-# acc - (acc // q) * q, since numpy divides int64 by a scalar through
-# libdivide, and a smaller one by np.remainder, which is one pass and
-# needs no quotient buffer.  Per array of n entries below 2^62 the three
-# passes take 3.8 us against 3.5 us at n = 2^9, 3.8 against 4.8 at 2^10,
-# 5.5 against 8.7 at 2^11 and 26 against 63 at 2^14.  Over whole scans
-# at degree 2 to 5, np.remainder is ahead by about 3 us at q = 509,
-# level at 773, and 3 to 6 % behind at q = 1021 and 10 to 17 % at 2039.
-#
-# An odd factor q of at least _DIVIDE_MIN residues skips the reduction
-# at the end.  The constant term becomes (c_0 - target) mod q, so x is a
-# hit exactly when q divides the final acc, which the bound keeps in
-# [0, 2^63).  For odd q, n -> n * q^-1 mod 2^64 permutes [0, 2^64) and
-# takes k * q to k, so it sends the multiples of q below 2^64 onto
-# [0, (2^64 - 1) // q] and every other n above it (Granlund and
-# Montgomery, PLDI 1994; Lemire, Kaser and Kurz, SPE 49(6), 2019).  The
-# test is two passes, an in-place multiply of acc read as uint64 and a
-# comparison, against four (floor division, multiply, subtract,
-# compare).  Whole scans (best of 21 runs of 5 in one process) went
-# from 344, 397 and 545 us to 243, 292 and 482 us at q = 65521 and
-# degree 2, 3 and 4, and from 1125, 1793 and 2617 us to 777, 1495 and
-# 2278 us at 262139; degree 4 gains less as it still reduces once
-# mid-scan; the saving is about 25 us per block of 2^14 residues.  Below
-# _DIVIDE_MIN and for even q (a power of 2, which has no inverse mod
-# 2^64) the scan still reduces at the end and compares with the target.
+# Mid-scan the scan reduces as acc - (acc // q) * q; numpy divides int64
+# by a scalar through libdivide.  The target is taken into the constant
+# term, as (c_0 - target) mod q, so x is a hit exactly when q divides
+# the final acc, which the bound keeps in [0, 2^63).  For odd q,
+# n -> n * q^-1 mod 2^64 permutes [0, 2^64) and takes k * q to k, so it
+# sends the multiples of q below 2^64 onto [0, (2^64 - 1) // q] and
+# every other n above it (Granlund and Montgomery, PLDI 1994; Lemire,
+# Kaser and Kurz, SPE 49(6), 2019).  The test is two passes, an
+# in-place multiply of acc read as uint64 and a comparison.  Whole scans
+# (best of 21 runs of 5 in one process) took 243, 292 and 482 us at
+# q = 65521 and degree 2, 3 and 4, and 777, 1495 and 2278 us at 262139,
+# against 344, 397, 545 and 1125, 1793, 2617 us with a last reduction
+# and a comparison with the target, four passes.  An even q has no
+# inverse mod 2^64: x is a hit there when acc == (acc // q) * q.
 _VECTOR_MIN = 2**16
 _VECTOR_MAX = 2**31
 _BLOCK = 2**14
 _LOOP_FACTOR_MAX = 32
-_DIVIDE_MIN = 2**10
 # The numpy CRT join costs about 50 us for its calls on a few factors,
 # the plain one about 0.4 us per solution: they are level at 200 to 300
 # solutions (64 us against 27 us at 64, 150 us against 290 us at 648).
@@ -172,22 +158,16 @@ _INT64_MAX = 2**63 - 1
 
 def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
     # Horner over each block of x at once, in place, reducing mod m only
-    # where a step could overflow int64.  Coefficients and target are
-    # already reduced into [0, m) and 0 <= x < m, so acc never goes
+    # where a step could overflow int64.  The target is taken into the
+    # constant term, as (c_0 - target) mod m, so x is a hit exactly when
+    # m divides its final acc, as the comment above _VECTOR_MIN explains.
+    # Coefficients are in [0, m) and 0 <= x < m, so acc never goes
     # negative and `bound`, an exact upper bound on its entries, decides
     # before which steps to reduce; the same steps serve every block.
-    # An odd m of at least _DIVIDE_MIN residues takes the target into the
-    # constant term, as (c_0 - target) mod m, so x is a hit exactly when
-    # m divides its final acc; that is tested without a last reduction,
-    # as the comment above _VECTOR_MIN explains.
     import numpy as np
 
-    divisible = m % 2 == 1 and m >= _DIVIDE_MIN
-    if divisible:
-        coeffs = [((coeffs[0] if coeffs else 0) - target) % m, *coeffs[1:]]
-        inverse = np.uint64(pow(m, -1, 2**64))
-        limit = np.uint64((2**64 - 1) // m)
-    lead = coeffs[-1] if coeffs else 0
+    coeffs = [((coeffs[0] if coeffs else 0) - target) % m, *coeffs[1:]]
+    lead = coeffs[-1]
     steps = []
     bound = lead
     for c in reversed(coeffs[:-1]):
@@ -199,19 +179,14 @@ def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
             bound = m - 1
         steps.append((wide, c))
         bound = bound * (m - 1) + c
+    odd = m % 2 == 1
+    if odd:
+        inverse = np.uint64(pow(m, -1, 2**64))
+        limit = np.uint64((2**64 - 1) // m)
     size = min(m, _BLOCK)
     xs = np.arange(size, dtype=np.int64)
     acc = np.empty(size, dtype=np.int64)
-    quot = np.empty(size, dtype=np.int64) if m >= _DIVIDE_MIN else None
-
-    def reduce(acc, quot):
-        if quot is None:
-            np.remainder(acc, m, out=acc)
-        else:
-            np.floor_divide(acc, m, out=quot)
-            np.multiply(quot, m, out=quot)
-            np.subtract(acc, quot, out=acc)
-
+    quot = np.empty(size, dtype=np.int64)
     hits = []
     for lo in range(0, m, size):
         if lo:
@@ -226,19 +201,21 @@ def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
             acc.fill(lead)
         for wide, c in steps[1:]:
             if wide:
-                reduce(acc, quot)
+                np.floor_divide(acc, m, out=quot)
+                np.multiply(quot, m, out=quot)
+                acc -= quot
             np.multiply(acc, xs, out=acc)
             if c:
                 acc += c
-        if divisible:
+        if odd:
             # acc <= bound <= 2^63 - 1 reads the same as uint64
             scaled = acc.view(np.uint64)
             scaled *= inverse
             found = scaled <= limit
         else:
-            if bound >= m:
-                reduce(acc, quot)
-            found = acc == target
+            np.floor_divide(acc, m, out=quot)
+            np.multiply(quot, m, out=quot)
+            found = acc == quot
         hits += (np.flatnonzero(found) + lo).tolist()
     return hits
 

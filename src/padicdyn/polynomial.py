@@ -249,9 +249,9 @@ class FpPoly(Frozen):
             return [a for a in (0, 1) if self.eval(a) == 0]
         h = _monic(list(self.coeffs), p)
         w = _powmod([0, 1], (p - 1) // 2, h, p)
-        xp = _rem([0] + _mul(w, w), h, p)
+        xp = _divmod([0] + _mul(w, w), h, p)[1]
         g = _gcd(h, _sub(xp, [0, 1], p), p)
-        return sorted(_split_linear(g, p, _rem(w, g, p)))
+        return sorted(_split_linear(g, p, _divmod(w, g, p)[1]))
 
     def _check_same_field(self, other: "FpPoly") -> None:
         if self.prime != other.prime:
@@ -301,7 +301,8 @@ def fp_divmod(f: FpPoly, g: FpPoly) -> tuple[FpPoly, FpPoly]:
 # Long products and the root finder's powers pack a polynomial into one
 # int, a coefficient per slot of 8 * size bits (Kronecker substitution):
 # with slots wide enough that no coefficient of a product can spill into
-# the next, one int multiply is the whole polynomial product.
+# the next, one int multiply is the whole polynomial product.  _pack and
+# _unpack pass through bytes, size bytes per slot, at every length.
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -325,32 +326,15 @@ def _sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
 
 def _pack(coeffs: Sequence[int], size: int) -> int:
     """sum(c_i 2^(8 size i)) for coefficients 0 <= c_i < 2^(8 size)."""
-    if len(coeffs) < _SHIFT_SLOTS:
-        v = 0
-        for c in reversed(coeffs):
-            v = (v << 8 * size) | c
-        return v
     data = b"".join([c.to_bytes(size, "little") for c in coeffs])
     return int.from_bytes(data, "little")
 
 
 def _unpack(v: int, size: int, n: int) -> list[int]:
     """The n slots of size bytes of a packed 0 <= v < 2^(8 size n)."""
-    if n < _SHIFT_SLOTS:
-        width, mask = 8 * size, (1 << 8 * size) - 1
-        out = []
-        for _ in range(n):
-            out.append(v & mask)
-            v >>= width
-        return out
     data = v.to_bytes(n * size, "little")
     return [int.from_bytes(data[i : i + size], "little") for i in range(0, n * size, size)]
 
-
-# Shifting slots in and out copies the int once per slot, which beats a
-# round trip through bytes for short polynomials only: at 2 slots it
-# takes half the time, and from 16 to 32 slots on the two are level.
-_SHIFT_SLOTS = 16
 
 # _mul packs its operands when each has at least this many coefficients
 # (a nonzero ones): then (x^40 + x + 1)^120 parses in about 50 ms instead
@@ -425,18 +409,6 @@ def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     return quot, _trim([c % p for c in rem[:db]])
 
 
-def _rem(a: list[int], h: list[int], p: int) -> list[int]:
-    """a mod a monic h over F_p; a is overwritten."""
-    dh = len(h) - 1
-    low = h[:-1]
-    for i in range(len(a) - 1, dh - 1, -1):
-        c = a[i] % p
-        if c:
-            for j, d in enumerate(low, i - dh):
-                a[j] -= c * d
-    return _trim([c % p for c in a[:dh]])
-
-
 def _powmod(base: list[int], e: int, h: list[int], p: int) -> list[int]:
     """base^e mod a monic h over F_p, for e >= 1 and a base with
     coefficients in [0, p), by left-to-right squaring on packed residues.
@@ -452,7 +424,7 @@ def _powmod(base: list[int], e: int, h: list[int], p: int) -> list[int]:
     width = 8 * size
     # x^n = -(h - x^n), which a power of degree below n never needs
     row = _pack([-c % p for c in h[:-1]], size) if (len(base) - 1) * e >= n else 0
-    packed_base = _pack(base if len(base) <= n else _rem(list(base), h, p), size)
+    packed_base = _pack(base if len(base) <= n else _divmod(base, h, p)[1], size)
     by_x = base == [0, 1]
     result = packed_base
     for bit in bin(e)[3:]:

@@ -780,6 +780,18 @@ class TestErrors:
         assert code == 0
         assert payload["root"] == 1
 
+    def test_negative_modulus_is_refused_by_the_oracle(self, capsys):
+        # the work estimate must see no modulus below 2; the oracle refuses it
+        code, payload = run_json(capsys, "oracle", "--poly", "x", "--modulus", "-5")
+        assert code == 1
+        assert payload["error"] == {
+            "type": "ValueError", "message": "modulus must be at least 2"
+        }
+        code, out, err = run_cli(
+            capsys, "oracle", "--poly", "x", "--modulus", "-5", "--format", "table"
+        )
+        assert (code, out, err) == (1, "", "error: modulus must be at least 2\n")
+
     def test_table_errors_go_to_stderr(self, capsys):
         code, out, err = run_cli(
             capsys, "roots", "--poly", "x", "--prime", "9", "--format", "table"

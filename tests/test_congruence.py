@@ -175,22 +175,21 @@ class TestBruteForceOracle:
         assert f.coeffs[-1] % q == q - 1
         # over the field F_q a product of distinct linear factors has
         # exactly their roots.  q spans 128 blocks, the roots falling in
-        # the last, or one block of q residues; both reduce by floor
-        # division, as q is at least _DIVIDE_MIN.
+        # the last, or one block of q residues; both reduce mid-scan by
+        # floor division and test their hits by divisibility.
         assert q > 100 * congruence._BLOCK
         assert solve_congruence_bruteforce(f, 0, q) == sorted(roots)
         monkeypatch.setattr(congruence, "_BLOCK", q)
         assert solve_congruence_bruteforce(f, 0, q) == sorted(roots)
 
     @pytest.mark.parametrize("q", [509, 521])
-    def test_int64_overflow_boundary_of_np_remainder(self, q):
-        # Both are primes below _DIVIDE_MIN, so they reduce by
-        # np.remainder.  A degree-7 scan whose lead is q - 1 stays below
-        # 2^63 through its sixth step for the first, and passes it there
-        # for the second, which must reduce before that step.  It passes
-        # 2^63 only at x near q - 1, so the roots are drawn from there.
+    def test_mid_scan_reduction_at_a_factor_below_2_10(self, q):
+        # Both are primes below 2^10.  A degree-7 scan whose lead is q - 1
+        # stays below 2^63 through its sixth step for the first, and
+        # passes it there for the second, which must reduce before that
+        # step.  It passes 2^63 only at x near q - 1, so the roots are
+        # drawn from there.
         assert (sum((q - 1) ** i for i in range(1, 8)) < 2**63) == (q < 2**9)
-        assert q < congruence._DIVIDE_MIN
         roots = sorted(random.Random(q).sample(range(q - 16, q), 7))
         f = IntPoly((q - 1,))
         for r in roots:
@@ -393,16 +392,15 @@ class TestBlockedScan:
 class TestScannerPerFactor:
     @pytest.mark.parametrize("q", [
         congruence._LOOP_FACTOR_MAX, congruence._LOOP_FACTOR_MAX + 1,
-        congruence._DIVIDE_MIN - 1, congruence._DIVIDE_MIN,
-        # primes around _DIVIDE_MIN, from which an odd factor tests its
-        # hits by divisibility, and odd prime powers above it
+        2**10 - 1, 2**10,
+        # primes around 2^10 and odd prime powers above it
         1019, 1021, 1031, 1033, 3**7, 7**4, 5**5,
-        2**11,  # even: still reduces at the end and compares
+        2**11,  # even: no inverse mod 2^64, so tested by floor division
     ])
     def test_loop_and_numpy_agree_around_the_cutoffs(self, q):
         # the largest factor the loop takes and the smallest numpy takes,
-        # and the two sides of the switch to floor division and to the
-        # divisibility test; neither scanner needs q to be a prime power
+        # and odd and even factors on both sides of 2^10; neither scanner
+        # needs q to be a prime power
         rng = random.Random(107 + q)
         polys = [[], [rng.randrange(q)], [q - 1]]  # zero and constants
         for degree in range(6):
@@ -441,8 +439,9 @@ class TestScannerPerFactor:
 
     @pytest.mark.parametrize("q", [2**17, 2**17 + 29])
     def test_loop_and_numpy_agree_over_many_blocks(self, q):
-        # 2^17 reduces at the end, the prime 2^17 + 29 tests divisibility;
-        # both span 8 or 9 blocks, with a root planted in the last
+        # 2^17 tests its hits by floor division, the prime 2^17 + 29 by
+        # its inverse mod 2^64; both span 8 or 9 blocks, with a root
+        # planted in the last
         rng = random.Random(109 + q)
         for degree in range(6):
             coeffs = [rng.randrange(q - 8, q) for _ in range(degree + 1)]

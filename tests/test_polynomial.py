@@ -372,11 +372,11 @@ def schoolbook_mul(a, b):
 def schoolbook_powmod(base, e, h, p):
     from padicdyn import polynomial
 
-    result = polynomial._rem(list(base), h, p)
+    result = polynomial._divmod(base, h, p)[1]
     for bit in bin(e)[3:]:
-        result = polynomial._rem(schoolbook_mul(result, result), h, p)
+        result = polynomial._divmod(schoolbook_mul(result, result), h, p)[1]
         if bit == "1":
-            result = polynomial._rem(schoolbook_mul(result, base), h, p)
+            result = polynomial._divmod(schoolbook_mul(result, base), h, p)[1]
     return result
 
 
