@@ -22,7 +22,8 @@ level).  A product with a monomial c x^i is sized by its other factor,
 as it only scales and shifts it, but at least one bit per slot of the
 result, for the list work of building it; so a printed term c x^i costs
 about i + bits(c) besides the slots x^i paid for, and a chain of
-products with 1 still pays for the slots it copies each time.  A sum is
+products with 1 pays for the slots of its result each time, though it
+copies none.  A sum is
 added into one coefficient list, so its cost follows the sizes of its
 terms.
 """
@@ -72,9 +73,10 @@ def _tokenize(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        # isdecimal: the digits int() reads ("٣", but not "²")
+        if c.isdecimal():
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             tokens.append(_Token(_INT, text[start:i], start, int(text[start:i])))
             continue

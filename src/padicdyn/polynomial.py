@@ -108,6 +108,11 @@ class IntPoly(Frozen):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # IntPoly is immutable, so a product with 1 is the other factor
+        if self.coeffs == (1,):
+            return other
+        if other.coeffs == (1,):
+            return self
         # _mul skips the zeros of its first operand, so a monomial there
         # costs one pass over the other factor
         a, b = (other, self) if other.is_monomial else (self, other)
@@ -233,14 +238,13 @@ class FpPoly(Frozen):
     def roots(self) -> list[int]:
         """All residues in [0, p) where the polynomial vanishes, ascending.
 
-        Rabin's method: g = gcd(h, x^p - x) collects the distinct linear
-        factors of h, and gcd(g, (x + a)^((p-1)/2) - 1) over the fixed
-        shifts a = 0, 1, 2, ... splits them apart.  w = x^((p-1)/2) mod h
-        is taken once by repeated squaring, each square one product of
-        packed ints (see _powmod): x^p is w^2 x, and w mod g is the first
-        split.  The cost is polynomial in deg h and log p and the output
-        depends on no random choice.  The zero polynomial vanishes
-        everywhere.
+        Rabin's method: over F_p, p odd, x^p - x is
+        x (x^((p-1)/2) - 1) (x^((p-1)/2) + 1), so with w = x^((p-1)/2)
+        mod h, taken by repeated squaring on packed ints (see _powmod),
+        the roots of h are 0 if h(0) = 0 and those of gcd(h, w - 1) and
+        gcd(h, w + 1), which _split_linear splits apart.  The cost is
+        polynomial in deg h and log p and the output depends on no
+        random choice.  The zero polynomial vanishes everywhere.
         """
         p = self.prime.p
         if self.is_zero:
@@ -249,9 +253,10 @@ class FpPoly(Frozen):
             return [a for a in (0, 1) if self.eval(a) == 0]
         h = _monic(list(self.coeffs), p)
         w = _powmod([0, 1], (p - 1) // 2, h, p)
-        xp = _divmod([0] + _mul(w, w), h, p)[1]
-        g = _gcd(h, _sub(xp, [0, 1], p), p)
-        return sorted(_split_linear(g, p, _divmod(w, g, p)[1]))
+        roots = [0] if h[0] == 0 else []
+        for c in (1, -1):
+            roots += _split_linear(_gcd(h, _sub(w, [c], p), p), p)
+        return sorted(roots)
 
     def _check_same_field(self, other: "FpPoly") -> None:
         if self.prime != other.prime:
@@ -467,25 +472,25 @@ def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return _monic(a, p)
 
 
-def _split_linear(g: list[int], p: int, w0: list[int]) -> list[int]:
+def _split_linear(g: list[int], p: int) -> list[int]:
     """Roots of a monic g over F_p, p odd, that is a product of distinct
-    linear factors (unordered); w0 is x^((p-1)/2) mod g.
+    linear factors (unordered).
 
     A factor x - r divides gcd(g, (x + a)^((p-1)/2) - 1) exactly when
-    r + a is a nonzero square.  Two distinct roots differ in that
-    respect for some a in [0, p), so trying a = 0, 1, 2, ... in turn
-    always splits g.  The try a = 0 on g itself reads w0.
+    r + a is a nonzero square.  Two distinct nonzero roots, all that
+    FpPoly.roots passes, differ in that respect for some a in [1, p), so
+    trying a = 1, 2, ... in turn always splits g.
     """
     roots = []
     pending = [g] if len(g) > 1 else []
-    a = 0
+    a = 1
     while pending:
         g = pending.pop()
         if len(g) == 2:
             roots.append(-g[0] % p)
             continue
         while True:
-            w = w0 if a == 0 else _powmod([a % p, 1], (p - 1) // 2, g, p)
+            w = _powmod([a % p, 1], (p - 1) // 2, g, p)
             a += 1
             s = _gcd(g, _sub(w, [1], p), p)
             if 1 < len(s) < len(g):
@@ -507,14 +512,19 @@ def fermat_reduce(f: IntPoly, p: Union[int, Prime]) -> FpPoly:
 
     The result has degree < p and exactly the same roots over F_p as f;
     the zero polynomial signals that every residue is a root.  A
-    reduction that already has degree < p is returned unchanged.
+    reduction that already has degree < p is returned unchanged.  As
+    x^p = x mod x^p - x, each x^e with e >= p folds onto
+    x^((e - 1) mod (p - 1) + 1): one pass over f, not a division.
     """
     prime = as_prime(p)
     h = reduce_mod_p(f, prime)
-    if h.degree < prime.p:
+    q = prime.p
+    if h.degree < q:
         return h
-    _, r = fp_divmod(h, _x_pow_p_minus_x(prime))
-    return r
+    folded = list(h.coeffs[:q])
+    for e, c in enumerate(h.coeffs[q:], q):
+        folded[(e - 1) % (q - 1) + 1] += c
+    return FpPoly(prime, folded)
 
 
 def divides_xp_minus_x(

@@ -59,10 +59,11 @@ def _evaluation(f: IntPoly, p: int, k: int) -> int:
 
 
 def roots(f: IntPoly, p: int) -> int:
-    """roots_mod_p: x^p mod h = f - t mod p by squaring, the gcd of h
-    with x^p - x, which holds its e <= min(d, p) roots, and equal-degree
-    splitting of that gcd by one power (x + a)^((p-1)/2) mod a factor of
-    it per try; then f' at each root.
+    """roots_mod_p: w = x^((p-1)/2) mod h = f - t mod p by squaring, the
+    gcds of h with w - 1 and w + 1, which hold its nonzero roots (e <=
+    min(d, p) roots in all), and equal-degree splitting of each gcd by
+    one power (x + a)^((p-1)/2) mod a factor of it per try; then f' at
+    each root.
 
     Each power costs about 9 us per bit of p in calls and list work,
     and 1 us more per 64 bits of p.

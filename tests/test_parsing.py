@@ -50,6 +50,8 @@ class TestParsePoly:
         assert parse_poly("0").is_zero
         assert parse_poly("42").coeffs == (42,)
         assert parse_poly("x^0").coeffs == (1,)
+        # any decimal digit int() reads
+        assert parse_poly("x^٣ - ١٢").coeffs == (-12, 0, 0, 1)
 
     def test_big_coefficients(self):
         big = 10**40
@@ -62,6 +64,7 @@ class TestParsePoly:
             ("x^", 2),
             ("x^-2", 2),
             ("3 $ 4", 2),
+            ("x^²", 2),  # a digit, but not one int() reads
             ("", 0),
             ("x)", 1),
         ]:

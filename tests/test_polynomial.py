@@ -39,6 +39,12 @@ class TestIntPoly:
         assert (2 * g).coeffs == (2, 2)
         assert (f - 2).coeffs == (0, -7, 1)
 
+    def test_product_with_one_is_the_other_factor(self):
+        # IntPoly is immutable, so nothing is copied
+        f = IntPoly.monomial(3, 9999)
+        assert f * 1 is f and 1 * f is f and f * IntPoly.constant(1) is f
+        assert (f * -1).coeffs[-1] == -3
+
     def test_exact_evaluation(self):
         f = IntPoly((2, -7, 1))
         assert f(3) == -10
@@ -187,8 +193,10 @@ class TestRootFinder:
 
 
 class TestRootSplitting:
-    """FpPoly.roots takes w = x^((p-1)/2) mod h once: x^p is w^2 x, and
-    w mod g is the first splitting try, a = 0."""
+    """FpPoly.roots takes w = x^((p-1)/2) mod h once, and w alone sorts
+    the roots of h into 0, the nonzero squares (gcd(h, w - 1)) and the
+    non-squares (gcd(h, w + 1)); each gcd with two or more roots is then
+    split by shifts a = 1, 2, ..."""
 
     # p = 3 mod 4, then p = 1 mod 4
     PRIMES = [3, 7, 11, 19, 23, 43, 5, 13, 17, 29, 37, 101]
@@ -232,10 +240,10 @@ class TestRootSplitting:
     @pytest.mark.parametrize(
         "roots, powers",
         [
-            ([1, 4], 2),  # both squares mod 7: a = 0 fails, a = 1 splits
+            ([1, 4], 2),  # both squares mod 7: w sorts, a = 1 splits
             ([3, 5], 2),  # both non-squares
-            ([0, 3], 3),  # 0 goes with the non-squares; a = 1 fails too
-            ([0, 3, 5], 3),
+            ([0, 3], 1),  # 0 is read off h(0): w alone sorts
+            ([0, 3, 5], 2),
             ([1, 3], 1),  # a square and a non-square: w alone splits
             ([0, 1], 1),
             ([2], 1),  # one root: nothing to split
@@ -249,6 +257,26 @@ class TestRootSplitting:
         # x^2 + 1 has no roots mod 7
         assert reduce_mod_p(f * f * IntPoly((1, 0, 1)), 7).roots() == roots
         assert len(calls) == powers
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 17])
+    def test_square_classes_match_exhaustive_scan(self, p):
+        # roots only among the nonzero squares, only among the
+        # non-squares, or with 0; and h of degree >= p, either from
+        # repeated roots or as a multiple of x^p - x
+        rng = random.Random(1800 + p)
+        squares = sorted({r * r % p for r in range(1, p)})
+        pools = [squares, [r for r in range(1, p) if r not in squares]]
+        pools += [[0] + pool for pool in pools]
+        x_p_minus_x = IntPoly.monomial(1, p) - IntPoly.x()
+        for i in range(80):
+            pool = pools[i % 4]
+            f = IntPoly.constant(rng.randrange(1, p) + p * rng.randint(-3, 3))
+            for r in rng.sample(pool, rng.randint(1, len(pool))):
+                f = f * IntPoly((-r, 1)) ** rng.randint(1, p + 1)
+            if i % 5 == 4:
+                f = f * x_p_minus_x * random_int_poly(rng, 4, -20, 20)
+            h = reduce_mod_p(f, p)
+            assert h.roots() == exhaustive_roots(f, 0, p)
 
     def test_large_prime_planted_pairs(self):
         # x^2 + 1 has no roots, as p = 3 mod 4
@@ -288,6 +316,16 @@ class TestFermatReduce:
             expected = exhaustive_roots(f, 0, p)
             got = list(range(p)) if g.is_zero else g.roots()
             assert got == expected
+
+    def test_matches_division_by_x_p_minus_x(self):
+        # the folding of exponents against the remainder of the division
+        rng = random.Random(4999)
+        for _ in range(300):
+            p = rng.choice([2, 3, 5, 7, 13, 31, 101])
+            f = random_int_poly(rng, rng.choice([p, 3 * p, 5 * p + 7]), -10**6, 10**6)
+            x_p_minus_x = FpPoly(Prime(p), (0, -1) + (0,) * (p - 2) + (1,))
+            expected = fp_divmod(reduce_mod_p(f, p), x_p_minus_x)[1]
+            assert fermat_reduce(f, p) == expected
 
     def test_zero_reduction_means_every_residue_is_a_root(self):
         # x^3 - x vanishes at every residue mod 3
