@@ -12,7 +12,6 @@ branch ends.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import TYPE_CHECKING, Sequence, Union
 
@@ -159,6 +158,7 @@ class BackwardTree:
     def to_json(self) -> str:
         # Field order is fixed by construction; output must stay
         # byte-identical for identical trees.
+        import json
         return json.dumps(self.to_json_dict(), indent=2)
 
     def to_dot(self) -> str:

@@ -22,7 +22,6 @@ and the table lines.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -43,6 +42,8 @@ ENV_MAX_NODES = "PADIC_DYN_MAX_NODES"
 
 
 def _json_dumps(payload: dict) -> str:
+    # table and dot output never load json
+    import json
     return json.dumps(payload, indent=2)
 
 

@@ -23,6 +23,7 @@ division.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Union
 
 from .errors import PadicDynError
@@ -52,14 +53,20 @@ DEFAULT_ORACLE_BOUND = 10**7
 # lower cutoff, a dense f of degree 2 to 4 would lose.
 #
 # A factor q > _BLOCK is scanned in blocks of _BLOCK residues, one after
-# another, on three buffers reused from block to block: at 2^14 int64
-# entries they take 384 KiB, inside the 2 MiB L2 cache of the VM's Xeon.
+# another, on buffers reused from block to block: x, its shift by the
+# block's start, acc and a quotient at 2^14 int64 entries, and the hit
+# mask, take 528 KiB, inside the 2 MiB L2 cache of the VM's Xeon.
 # On the oracle_scan inputs of seed 1 (factors up to 2^19, degree 2 to
 # 4, each call followed by its check as in the benchmark), the 95th
 # percentile call took 2.3 to 2.4 ms as one block, and in blocks of 2^13,
 # 2^14, 2^15 and 2^16 residues 1.6, 1.45, 1.5 and 2.3 to 2.6 ms.
 # Scanning the blocks on two threads, one per vCPU, took it to 6 to 7 ms
 # instead: the threads hand the GIL to each other between numpy calls.
+# The buffers are kept per thread from call to call.  Made afresh, the
+# three 128 KiB buffers of a call came from the top of the heap, and
+# glibc gave them back to the kernel when the call freed them: the 5 %
+# slowest oracle_scan calls then took 36 to 50 minor page faults each,
+# whose cost moves with the host's load, and none once they were kept.
 #
 # Mid-scan the scan reduces as acc - (acc // q) * q; numpy divides int64
 # by a scalar through libdivide.  The target is taken into the constant
@@ -83,6 +90,7 @@ _LOOP_FACTOR_MAX = 32
 # the plain one about 0.4 us per solution: they are level at 200 to 300
 # solutions (64 us against 27 us at 64, 150 us against 290 us at 648).
 _CRT_VECTOR_MIN = 256
+_scratch = threading.local()
 
 
 class RootModP(Frozen):
@@ -184,15 +192,13 @@ def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
         inverse = np.uint64(pow(m, -1, 2**64))
         limit = np.uint64((2**64 - 1) // m)
     size = min(m, _BLOCK)
-    xs = np.arange(size, dtype=np.int64)
-    acc = np.empty(size, dtype=np.int64)
-    quot = np.empty(size, dtype=np.int64)
+    base, shifted, acc, quot, found = (b[:size] for b in _block_buffers(np))
     hits = []
     for lo in range(0, m, size):
-        if lo:
-            xs += size
         if lo + size > m:
-            xs, acc, quot = xs[: m - lo], acc[: m - lo], quot[: m - lo]
+            base, shifted, acc, quot, found = (
+                b[: m - lo] for b in (base, shifted, acc, quot, found))
+        xs = np.add(base, lo, out=shifted) if lo else base
         if steps:  # the first step never overflows: lead * (m - 1) + c < m^2
             np.multiply(xs, lead, out=acc)
             if steps[0][1]:
@@ -211,13 +217,25 @@ def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
             # acc <= bound <= 2^63 - 1 reads the same as uint64
             scaled = acc.view(np.uint64)
             scaled *= inverse
-            found = scaled <= limit
+            np.less_equal(scaled, limit, out=found)
         else:
             np.floor_divide(acc, m, out=quot)
             np.multiply(quot, m, out=quot)
-            found = acc == quot
+            np.equal(acc, quot, out=found)
         hits += (np.flatnonzero(found) + lo).tolist()
     return hits
+
+
+def _block_buffers(np):
+    """This thread's arange(_BLOCK), three more int64 buffers and a bool
+    one of _BLOCK entries, made on its first numpy scan and kept."""
+    buffers = getattr(_scratch, "buffers", None)
+    if buffers is None or len(buffers[0]) != _BLOCK:
+        buffers = (np.arange(_BLOCK, dtype=np.int64),
+                   *(np.empty(_BLOCK, dtype=np.int64) for _ in range(3)),
+                   np.empty(_BLOCK, dtype=bool))
+        _scratch.buffers = buffers
+    return buffers
 
 
 def _numpy_scans(q: int, m: int) -> bool:

@@ -20,7 +20,28 @@ def _canonical(coeffs: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-class IntPoly(Frozen):
+class _Poly(Frozen):
+    """The reads IntPoly and FpPoly share on their canonical `coeffs`;
+    equality stays within one class, so an FpPoly is never an IntPoly."""
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def degree(self) -> int:
+        """Degree, with the zero polynomial at -1."""
+        return len(self.coeffs) - 1
+
+    @property
+    def leading_coefficient(self) -> int:
+        return self.coeffs[-1] if self.coeffs else 0
+
+    def coeff(self, i: int) -> int:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+
+
+class IntPoly(_Poly):
     """Polynomial in one variable with integer coefficients."""
 
     _fields = ("coeffs",)
@@ -47,25 +68,9 @@ class IntPoly(Frozen):
         return cls((0,) * power + (coeff,))
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def is_monomial(self) -> bool:
         """Whether f is c x^d with c != 0: one nonzero coefficient."""
         return bool(self.coeffs) and not any(self.coeffs[:-1])
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
-    @property
-    def leading_coefficient(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
-    def coeff(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def coeff_list(self) -> list[int]:
         """Canonical serialization: constant term first; [0] for zero."""
@@ -195,7 +200,7 @@ def format_poly(f: IntPoly) -> str:
     return " ".join(parts)
 
 
-class FpPoly(Frozen):
+class FpPoly(_Poly):
     """Polynomial over F_p: canonical residue coefficients, constant first.
 
     Construction reduces each coefficient mod p and strips trailing
@@ -213,23 +218,8 @@ class FpPoly(Frozen):
         return cls(as_prime(p), f.coeffs)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def leading_coefficient(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
-    @property
     def is_monic(self) -> bool:
         return self.leading_coefficient == 1
-
-    def coeff(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def eval(self, x: int) -> int:
         q = self.prime.p

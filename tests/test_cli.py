@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -57,12 +58,14 @@ def timed(call, *args):
 def loaded_after(code, *modules):
     """Run `code` in a fresh interpreter; whether each of `modules`
     (numpy and concurrent.futures unless given) is loaded after it, and
-    how many threads run."""
+    how many threads run.  The modules are read before the report
+    imports json."""
     modules = list(modules or ("numpy", "concurrent.futures"))
     proc = run_python("-c", code + (
-        "\nimport json, sys, threading\n"
-        f"print(json.dumps([m in sys.modules for m in {modules!r}] + "
-        "[threading.active_count()]))"
+        "\nimport sys\n"
+        f"loaded = [m in sys.modules for m in {modules!r}]\n"
+        "import json, threading\n"
+        "print(json.dumps(loaded + [threading.active_count()]))"
     ))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -672,11 +675,19 @@ class TestLazyNumpy:
         ) == [True, False, 1]
 
 
+# every submodule of the package, as sys.modules names it
+SUBMODULES = sorted(
+    f"padicdyn.{path.stem}"
+    for path in Path(padicdyn.__file__).parent.glob("*.py")
+    if path.stem != "__init__"
+)
+
+
 class TestImportFootprint:
-    # each reports [dataclasses loaded, fractions loaded, threads]: the
-    # value classes are plain classes, fractions is imported by the
-    # distances that return one, and BackwardNode, a dataclass, loads
-    # with the first tree
+    # the first two report [dataclasses loaded, fractions loaded,
+    # threads]: the value classes are plain classes, fractions is
+    # imported by the distances that return one, and BackwardNode, a
+    # dataclass, loads with the first tree
     def test_importing_the_package_and_cli_skips_dataclasses_and_fractions(self):
         assert loaded_after(
             "import padicdyn, padicdyn.cli", "dataclasses", "fractions"
@@ -710,6 +721,72 @@ class TestImportFootprint:
         modules = ["padicdyn.backward", "padicdyn.congruence",
                    "padicdyn.hensel", "padicdyn.parsing"]
         assert loaded_after("import padicdyn.cli", *modules) == [True] * 4 + [1]
+
+    def test_importing_the_package_loads_no_submodule_and_no_json(self):
+        assert loaded_after("import padicdyn", *SUBMODULES, "json") == (
+            [False] * len(SUBMODULES) + [False, 1]
+        )
+
+    def test_a_name_loads_only_its_module_and_what_that_imports(self):
+        loaded = loaded_after("from padicdyn import parse_poly", *SUBMODULES)
+        assert [m for m, on in zip(SUBMODULES, loaded) if on] == [
+            "padicdyn.errors", "padicdyn.padic", "padicdyn.parsing",
+            "padicdyn.polynomial",
+        ]
+
+    @pytest.mark.parametrize("argv", [
+        ["roots", "--poly=x^2", "--prime=7", "--target=2", "--format=table"],
+        ["tree", "--poly=x^2", "--prime=7", "--precision=1", "--seed=2",
+         "--depth=2", "--format=dot"],
+    ], ids=["roots-table", "tree-dot"])
+    def test_table_and_dot_output_skip_json(self, argv):
+        assert loaded_after(
+            f"from padicdyn import cli\nassert cli.main({argv!r}) == 0", "json"
+        ) == [False, 1]
+
+
+# the public names, in the order of __all__
+PUBLIC = [
+    "BackwardNode", "BackwardTree", "BudgetExceededError", "CoherentSequence",
+    "DEFAULT_NODE_BUDGET", "DEFAULT_ORACLE_BOUND", "FpPoly", "INFINITY",
+    "IntPoly", "LiftedRoot", "NotARootError", "NotAUnitError", "NotPrimeError",
+    "OrbitResult", "PadicDynError", "PadicInt", "PolyParseError", "Prime",
+    "RootModP", "SingularRootError", "abs_p", "as_prime", "backward_tree",
+    "check_coherent", "congruence_is_identically_zero",
+    "distance_first_difference", "distance_series", "divides_xp_minus_x",
+    "eval_mod", "fermat_reduce", "format_poly", "forward_orbit", "fp_divmod",
+    "hensel_lift", "hensel_step", "is_prime", "make_monic", "parse_poly",
+    "preimages", "reduce_mod_p", "roots_mod_p", "solve_congruence_bruteforce",
+    "vp_int", "vp_rat",
+]
+
+
+class TestExportTable:
+    # padicdyn._EXPORTS maps each defining module to the names it exports;
+    # the package's __getattr__ imports the module on a name's first use
+    def test_public_names_are_unchanged(self):
+        assert padicdyn.__all__ == PUBLIC
+
+    @pytest.mark.parametrize("name", PUBLIC)
+    def test_each_name_is_its_defining_modules_object(self, name):
+        [module] = [m for m, names in padicdyn._EXPORTS.items() if name in names]
+        value = getattr(importlib.import_module(f"padicdyn.{module}"), name)
+        assert getattr(padicdyn, name) is value
+        assert vars(padicdyn)[name] is value
+        # an int constant carries no module; every other value names its own
+        defined_in = f"padicdyn.{module}"
+        assert getattr(value, "__module__", defined_in) == defined_in
+
+    def test_dir_lists_every_public_name(self):
+        assert set(PUBLIC) <= set(dir(padicdyn))
+
+    def test_submodules_resolve_after_a_bare_import(self):
+        proc = run_python("-c", (
+            "import padicdyn\n"
+            "print(padicdyn.backward.__name__, padicdyn.cli.__name__)"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["padicdyn.backward", "padicdyn.cli"]
 
 
 class TestErrors:

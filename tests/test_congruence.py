@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import threading
 import time
 
 import pytest
@@ -387,6 +388,44 @@ class TestBlockedScan:
                 answers.append(congruence._bruteforce_vectorized(coeffs, c, q))
             assert r in answers[0]
             assert all(a == answers[0] for a in answers)
+
+    def test_buffers_are_kept_per_thread_and_remade_for_a_new_block(self, monkeypatch):
+        import numpy as np
+
+        kept = congruence._block_buffers(np)
+        congruence._bruteforce_vectorized([3, 0, 1], 0, 3 * congruence._BLOCK + 7)
+        assert congruence._block_buffers(np) is kept
+        assert all(len(b) == congruence._BLOCK for b in kept)
+        others = []
+        thread = threading.Thread(target=lambda: others.append(congruence._block_buffers(np)))
+        thread.start()
+        thread.join()
+        assert not any(b is k for b, k in zip(others[0], kept))
+        monkeypatch.setattr(congruence, "_BLOCK", 997)
+        assert [len(b) for b in congruence._block_buffers(np)] == [997] * 5
+
+    def test_threads_scanning_at_once_get_their_own_answers(self):
+        # numpy drops the GIL inside its loops, so shared buffers would mix
+        # the blocks of two scans
+        rng = random.Random(103)
+        cases = []
+        for _ in range(8):
+            q = rng.randrange(3 * congruence._BLOCK, 5 * congruence._BLOCK)
+            coeffs = [rng.randrange(q) for _ in range(rng.randint(2, 5))]
+            cases.append((coeffs, rng.randrange(q), q))
+        expected = [congruence._bruteforce_python(*case) for case in cases]
+        got = [None] * len(cases)
+
+        def scan(i):
+            for _ in range(20):
+                got[i] = congruence._bruteforce_vectorized(*cases[i])
+
+        threads = [threading.Thread(target=scan, args=(i,)) for i in range(len(cases))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert got == expected
 
 
 class TestScannerPerFactor:

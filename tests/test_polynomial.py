@@ -101,6 +101,19 @@ class TestReduceModP:
         assert reduce_mod_p(IntPoly((2, -7, 1)), 7).coeffs == (2, 0, 1)
         assert reduce_mod_p(IntPoly.monomial(5, 3), 5).is_zero
 
+    def test_shares_the_reads_of_int_poly_but_not_its_type(self):
+        # one base holds is_zero, degree, leading_coefficient and coeff
+        f = IntPoly((2, -7, 1))
+        g = reduce_mod_p(f, 5)
+        assert (g.degree, g.leading_coefficient, g.coeff(1), g.coeff(7)) == \
+            (2, 1, 3, 0)
+        assert (f.degree, f.leading_coefficient, f.coeff(1), f.coeff(-1)) == \
+            (2, 1, -7, 0)
+        assert not isinstance(g, IntPoly)
+        assert g != IntPoly(g.coeffs) and g.to_int_poly() == IntPoly(g.coeffs)
+        with pytest.raises(TypeError):
+            f + g
+
 
 class TestFpDivmod:
     def test_x5_minus_x_by_x2_minus_1(self):
