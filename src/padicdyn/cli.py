@@ -12,8 +12,9 @@ flags in order, its handler and its --format choices.  build_parser()
 turns the table into subparsers, adding --allow-large to every
 subcommand with --precision and --format last.  main() runs the steps
 the subcommands share, once and in this order: parse --poly, check a
-required --prime, and cap p^k when there is a --precision (at 2^256, or
-with --allow-large at the interpreter's digit limit).  A handler
+required --prime (its primality test is charged against the work limit
+first), and cap p^k when there is a --precision (at 2^256, or with
+--allow-large at the interpreter's digit limit).  A handler
 gets the parsed polynomial and prime, checks the work estimate of its
 one library call (see work.py), makes the call and builds the payload
 and the table lines.
@@ -25,7 +26,7 @@ import argparse
 import math
 import os
 import sys
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import backward, congruence, hensel, work
 from .errors import BudgetExceededError, PadicDynError
@@ -74,6 +75,12 @@ def _check_modulus_size(p: int, k: int, allow_large: bool) -> None:
         raise PadicDynError(
             f"{p}^{k} exceeds the default modulus cap 2^256; pass --allow-large"
         )
+
+
+def _as_prime(p: int) -> Prime:
+    # the primality test alone takes seconds for a p of a few thousand bits
+    work.check(work.prime(p), "the primality test")
+    return as_prime(p)
 
 
 def _root_dict(r: congruence.RootModP) -> dict:
@@ -233,7 +240,7 @@ def _cmd_dist(args, f: None, prime: None) -> tuple[dict, list[str]]:
     if args.metric == "series":
         if args.prime is None:
             raise PadicDynError("--prime is required for the series metric")
-        prime = as_prime(args.prime)
+        prime = _as_prime(args.prime)
         # the distance's denominator is p^(n-1)
         _check_printable(prime.p, len(s) - 1)
         d = backward.distance_series(s, t, prime)
@@ -268,24 +275,15 @@ MAX_NODES = {
 }
 
 
-class Command:
+class Command(NamedTuple):
     # flags: each flag in order, with its add_argument keywords;
     # handler(args, f, prime) returns the JSON payload and the table lines;
     # main reads the payload only for --format json, so a handler whose
     # payload is costly (tree) builds just the one its format prints
-    __slots__ = ("help", "handler", "flags", "formats")
-
-    def __init__(
-        self,
-        help: str,
-        handler: Callable[..., tuple[dict | None, Iterable[str]]],
-        flags: dict[str, dict],
-        formats: tuple[str, ...] = ("json", "table"),
-    ):
-        self.help = help
-        self.handler = handler
-        self.flags = flags
-        self.formats = formats
+    help: str
+    handler: Callable[..., tuple[dict | None, Iterable[str]]]
+    flags: dict[str, dict]
+    formats: tuple[str, ...] = ("json", "table")
 
 
 COMMANDS = {
@@ -338,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         f = parse_poly(args.poly) if "--poly" in command.flags else None
         # dist's --prime is optional; only its series metric checks it
         required_prime = command.flags.get("--prime", {}).get("required")
-        prime = as_prime(args.prime) if required_prime else None
+        prime = _as_prime(args.prime) if required_prime else None
         if "--precision" in command.flags:
             _check_modulus_size(prime.p, args.precision, args.allow_large)
         payload, table_lines = command.handler(args, f, prime)

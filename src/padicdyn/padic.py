@@ -10,7 +10,7 @@ across threads.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, total_ordering
 from typing import TYPE_CHECKING, Sequence, Union
 
 if TYPE_CHECKING:
@@ -104,6 +104,7 @@ def as_prime(p: Union[int, Prime]) -> Prime:
     return _verified_prime(int(p))
 
 
+@total_ordering
 class InfinityType:
     """Order-only infinity: the valuation of zero. Compares greater than
     every integer; supports no arithmetic."""
@@ -126,15 +127,6 @@ class InfinityType:
 
     def __lt__(self, other):
         return False
-
-    def __le__(self, other):
-        return isinstance(other, InfinityType)
-
-    def __gt__(self, other):
-        return not isinstance(other, InfinityType)
-
-    def __ge__(self, other):
-        return True
 
 
 INFINITY = InfinityType()

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 
 from .errors import PolyParseError
 from .polynomial import IntPoly
@@ -49,47 +50,24 @@ MAX_BITS = 2**20
 # (x+1)^1000 * x.
 MAX_PARSE_BITS = 2 * MAX_BITS
 
-_INT = "int"
-_X = "x"
-_OP = "op"
-_END = "end"
+# \s and \d match exactly what str.isspace and str.isdecimal accept;
+# the digits are those int() reads ("٣", but not "²").
+_TOKEN = re.compile(r"\d+|\S")
 
 
-class _Token:
-    __slots__ = ("kind", "text", "position", "value")
-
-    def __init__(self, kind: str, text: str, position: int, value: int = 0):
-        self.kind = kind
-        self.text = text
-        self.position = position
-        self.value = value
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, int, int | None]]:
+    """The tokens of text as (text, position, value), value being the int
+    of a number and None otherwise, ending in ("", len(text), None)."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        # isdecimal: the digits int() reads ("٣", but not "²")
-        if c.isdecimal():
-            start = i
-            while i < n and text[i].isdecimal():
-                i += 1
-            tokens.append(_Token(_INT, text[start:i], start, int(text[start:i])))
-            continue
-        if c == "x":
-            tokens.append(_Token(_X, c, i))
-            i += 1
-            continue
-        if c in "+-*^()":
-            tokens.append(_Token(_OP, c, i))
-            i += 1
-            continue
-        raise PolyParseError(f"unexpected character {c!r}", i)
-    tokens.append(_Token(_END, "", n))
+    for match in _TOKEN.finditer(text):
+        token, position = match.group(), match.start()
+        if token[0].isdecimal():
+            tokens.append((token, position, int(token)))
+        elif token in "x+-*^()":
+            tokens.append((token, position, None))
+        else:
+            raise PolyParseError(f"unexpected character {token!r}", position)
+    tokens.append(("", len(text), None))
     return tokens
 
 
@@ -139,25 +117,23 @@ class _Parser:
                 position,
             )
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, int, int | None]:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def advance(self) -> None:
         self.pos += 1
-        return tok
 
-    def expect_op(self, text: str) -> None:
-        tok = self.peek()
-        if tok.kind != _OP or tok.text != text:
-            raise PolyParseError(f"expected {text!r}", tok.position)
+    def expect(self, text: str) -> None:
+        found, position, _ = self.peek()
+        if found != text:
+            raise PolyParseError(f"expected {text!r}", position)
         self.advance()
 
     def parse(self) -> IntPoly:
         result = self.expr()
-        tok = self.peek()
-        if tok.kind != _END:
-            raise PolyParseError(f"unexpected token {tok.text!r}", tok.position)
+        text, position, _ = self.peek()
+        if text:
+            raise PolyParseError(f"unexpected token {text!r}", position)
         return result
 
     def expr(self) -> IntPoly:
@@ -173,19 +149,19 @@ class _Parser:
                 coeffs[n - 1] = add(coeffs[n - 1], term.coeffs[-1])
             else:
                 coeffs[:n] = map(add, coeffs[:n], term.coeffs)
-            tok = self.peek()
-            if not (tok.kind == _OP and tok.text in "+-"):
+            text = self.peek()[0]
+            if text not in ("+", "-"):
                 return IntPoly(tuple(coeffs))
             self.advance()
-            add = operator.add if tok.text == "+" else operator.sub
+            add = operator.add if text == "+" else operator.sub
 
     def term(self) -> IntPoly:
         result = self.factor()
         while True:
-            tok = self.peek()
-            if tok.kind == _OP and tok.text == "*":
+            text, position, _ = self.peek()
+            if text == "*":
                 self.advance()
-            elif not (tok.kind == _X or (tok.kind == _OP and tok.text == "(")):
+            elif text not in ("x", "("):
                 # 'x' and '(' make an implicit product: "7x", "2(x+1)",
                 # "(x+1)(x-1)"; any other token ends the term.
                 return result
@@ -194,71 +170,64 @@ class _Parser:
                 result.degree + rhs.degree,
                 _spread(result) + _spread(rhs) + 1,
                 _log_norm(result) + _log_norm(rhs),
-                tok.position,
+                position,
             )
             result = result * rhs
 
     def factor(self) -> IntPoly:
         sign = 1
-        while True:
-            tok = self.peek()
-            if tok.kind == _OP and tok.text in "+-":
-                if tok.text == "-":
-                    sign = -sign
-                self.advance()
-            else:
-                break
+        while (text := self.peek()[0]) in ("+", "-"):
+            if text == "-":
+                sign = -sign
+            self.advance()
         result = self.power()
         return -result if sign < 0 else result
 
     def power(self) -> IntPoly:
         result = self.atom()
-        while True:
-            tok = self.peek()
-            if tok.kind != _OP or tok.text != "^":
-                return result
+        while self.peek()[0] == "^":
             self.advance()
-            exp = self.peek()
-            if exp.kind != _INT:
+            _, position, exp = self.peek()
+            if exp is None:
                 raise PolyParseError(
-                    "exponent must be a nonnegative integer literal", exp.position
+                    "exponent must be a nonnegative integer literal", position
                 )
-            if exp.value > MAX_EXPONENT:
+            if exp > MAX_EXPONENT:
                 raise PolyParseError(
-                    f"exponent {exp.value} exceeds the limit {MAX_EXPONENT}",
-                    exp.position,
+                    f"exponent {exp} exceeds the limit {MAX_EXPONENT}", position
                 )
             self.advance()
             self.charge(
-                result.degree * exp.value,
-                result.degree * exp.value + 1,
-                _log_norm(result) * exp.value,
-                exp.position,
+                result.degree * exp,
+                result.degree * exp + 1,
+                _log_norm(result) * exp,
+                position,
             )
-            result = result**exp.value
+            result = result**exp
+        return result
 
     def atom(self) -> IntPoly:
-        tok = self.peek()
-        if tok.kind == _INT:
+        text, position, value = self.peek()
+        if value is not None:
             self.advance()
-            return IntPoly.constant(tok.value)
-        if tok.kind == _X:
+            return IntPoly.constant(value)
+        if text == "x":
             self.advance()
             return IntPoly.x()
-        if tok.kind == _OP and tok.text == "(":
+        if text == "(":
             if self.nesting == MAX_NESTING:
                 raise PolyParseError(
-                    f"parentheses nest deeper than {MAX_NESTING}", tok.position
+                    f"parentheses nest deeper than {MAX_NESTING}", position
                 )
             self.advance()
             self.nesting += 1
             inner = self.expr()
             self.nesting -= 1
-            self.expect_op(")")
+            self.expect(")")
             return inner
         raise PolyParseError(
-            f"expected a number, 'x', or '(', got {tok.text or 'end of input'!r}",
-            tok.position,
+            f"expected a number, 'x', or '(', got {text or 'end of input'!r}",
+            position,
         )
 
 

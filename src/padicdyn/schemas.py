@@ -1,158 +1,79 @@
 """JSON Schemas for every CLI subcommand's --format json output.
 
 These are the documented, stable output contracts; the test suite
-validates real CLI output against them.
+validates real CLI output against them.  Every object is a record: each
+of its fields is required and no other field is allowed.
 """
 
-_COEFFS = {"type": "array", "items": {"type": "integer"}, "minItems": 1}
 
-_ROOT = {
-    "type": "object",
-    "properties": {
-        "residue": {"type": "integer", "minimum": 0},
-        "singular": {"type": "boolean"},
-        "derivative_residue": {"type": "integer", "minimum": 0},
-    },
-    "required": ["residue", "singular", "derivative_residue"],
-    "additionalProperties": False,
-}
+def _record(**properties) -> dict:
+    """An object schema with exactly these fields, all required."""
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": list(properties),
+        "additionalProperties": False,
+    }
 
-_NODE = {
-    "type": "object",
-    "properties": {
-        "id": {"type": "integer", "minimum": 0},
-        "value": {"type": "integer", "minimum": 0},
-        "depth": {"type": "integer", "minimum": 0},
-        "status": {
-            "enum": ["expanded", "singular-leaf", "no-preimage-leaf", "frontier"]
-        },
-        "parent": {"type": ["integer", "null"]},
-    },
-    "required": ["id", "value", "depth", "status", "parent"],
-    "additionalProperties": False,
-}
 
-ROOTS_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "poly": _COEFFS,
-        "prime": {"type": "integer"},
-        "target": {"type": "integer"},
-        "roots": {"type": "array", "items": _ROOT},
-        "degenerate": {"type": "boolean"},
-    },
-    "required": ["poly", "prime", "target", "roots", "degenerate"],
-    "additionalProperties": False,
-}
+def _array(items: dict) -> dict:
+    return {"type": "array", "items": items}
 
-ORACLE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "poly": _COEFFS,
-        "modulus": {"type": "integer", "minimum": 2},
-        "target": {"type": "integer"},
-        "solutions": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-    },
-    "required": ["poly", "modulus", "target", "solutions"],
-    "additionalProperties": False,
-}
 
-LIFT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "poly": _COEFFS,
-        "prime": {"type": "integer"},
-        "precision": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
-        "target": {"type": "integer"},
-        "ladder": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        "root": {"type": "integer", "minimum": 0},
-        "digits": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-    },
-    "required": [
-        "poly", "prime", "precision", "seed", "target", "ladder", "root", "digits",
-    ],
-    "additionalProperties": False,
-}
+_BOOL = {"type": "boolean"}
+_INT = {"type": "integer"}
+_NAT = {"type": "integer", "minimum": 0}
+_PRECISION = {"type": "integer", "minimum": 1}
+_OPTIONAL_INT = {"type": ["integer", "null"]}
+_COEFFS = {**_array(_INT), "minItems": 1}
 
-PREIMAGES_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "poly": _COEFFS,
-        "prime": {"type": "integer"},
-        "precision": {"type": "integer", "minimum": 1},
-        "target": {"type": "integer", "minimum": 0},
-        "lifted": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        "singular": {"type": "array", "items": _ROOT},
-    },
-    "required": ["poly", "prime", "precision", "target", "lifted", "singular"],
-    "additionalProperties": False,
-}
+_ROOT = _record(residue=_NAT, singular=_BOOL, derivative_residue=_NAT)
 
-TREE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "p": {"type": "integer"},
-        "k": {"type": "integer", "minimum": 1},
-        "poly": _COEFFS,
-        "seed": {"type": "integer", "minimum": 0},
-        "depth": {"type": "integer", "minimum": 0},
-        "complete": {"type": "boolean"},
-        "nodes": {"type": "array", "items": _NODE, "minItems": 1},
-    },
-    "required": ["p", "k", "poly", "seed", "depth", "complete", "nodes"],
-    "additionalProperties": False,
-}
+_NODE = _record(
+    id=_NAT, value=_NAT, depth=_NAT,
+    status={"enum": ["expanded", "singular-leaf", "no-preimage-leaf", "frontier"]},
+    parent=_OPTIONAL_INT,
+)
 
-ORBIT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "poly": _COEFFS,
-        "prime": {"type": "integer"},
-        "precision": {"type": "integer", "minimum": 1},
-        "start": {"type": "integer"},
-        "steps": {"type": "integer", "minimum": 0},
-        "orbit": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        "preperiodic": {"type": "boolean"},
-        "tail_length": {"type": ["integer", "null"]},
-        "cycle_length": {"type": ["integer", "null"]},
-    },
-    "required": [
-        "poly", "prime", "precision", "start", "steps", "orbit",
-        "preperiodic", "tail_length", "cycle_length",
-    ],
-    "additionalProperties": False,
-}
+ROOTS_SCHEMA = _record(
+    poly=_COEFFS, prime=_INT, target=_INT, roots=_array(_ROOT), degenerate=_BOOL
+)
 
-DIST_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "metric": {"enum": ["series", "first-diff"]},
-        "prime": {"type": ["integer", "null"]},
-        "s": {"type": "array", "items": {"type": "integer"}},
-        "t": {"type": "array", "items": {"type": "integer"}},
-        "distance": {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"},
-    },
-    "required": ["metric", "prime", "s", "t", "distance"],
-    "additionalProperties": False,
-}
+ORACLE_SCHEMA = _record(
+    poly=_COEFFS, modulus={"type": "integer", "minimum": 2}, target=_INT,
+    solutions=_array(_NAT),
+)
 
-ERROR_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "error": {
-            "type": "object",
-            "properties": {
-                "type": {"type": "string"},
-                "message": {"type": "string"},
-            },
-            "required": ["type", "message"],
-            "additionalProperties": False,
-        },
-    },
-    "required": ["error"],
-    "additionalProperties": False,
-}
+LIFT_SCHEMA = _record(
+    poly=_COEFFS, prime=_INT, precision=_PRECISION, seed=_INT, target=_INT,
+    ladder=_array(_NAT), root=_NAT, digits=_array(_NAT),
+)
+
+PREIMAGES_SCHEMA = _record(
+    poly=_COEFFS, prime=_INT, precision=_PRECISION, target=_NAT,
+    lifted=_array(_NAT), singular=_array(_ROOT),
+)
+
+TREE_SCHEMA = _record(
+    p=_INT, k=_PRECISION, poly=_COEFFS, seed=_NAT, depth=_NAT, complete=_BOOL,
+    nodes={**_array(_NODE), "minItems": 1},
+)
+
+ORBIT_SCHEMA = _record(
+    poly=_COEFFS, prime=_INT, precision=_PRECISION, start=_INT, steps=_NAT,
+    orbit=_array(_NAT), preperiodic=_BOOL,
+    tail_length=_OPTIONAL_INT, cycle_length=_OPTIONAL_INT,
+)
+
+DIST_SCHEMA = _record(
+    metric={"enum": ["series", "first-diff"]}, prime=_OPTIONAL_INT,
+    s=_array(_INT), t=_array(_INT),
+    distance={"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"},
+)
+
+ERROR_SCHEMA = _record(
+    error=_record(type={"type": "string"}, message={"type": "string"})
+)
 
 SCHEMAS = {
     "roots": ROOTS_SCHEMA,

@@ -19,7 +19,8 @@ where Horner's rule multiplies by a narrow lead, and short lifts of
 2^14-bit coefficients.  Over 722 timed root findings (primes of 2 to
 255 bits, degree 1 to 160) roots is 1.0x to 5.2x its time when all
 min(d, p) roots are there, and up to 32x when few are, as the count is
-not known before the call.  The oracle's scan is 1.4x to 3.5x its time.
+not known before the call.  The oracle's scan is 1.4x to 3.5x its time,
+and a --prime's primality test, charged before it runs, 1.1x to 4x.
 """
 
 from __future__ import annotations
@@ -56,6 +57,15 @@ def _evaluation(f: IntPoly, p: int, k: int) -> int:
     refused by the call itself.)"""
     words = sum(c.bit_length() for c in f.coeffs) // 64
     return (f.degree + 1) * _int_op(max(k, 1) * p.bit_length()) + words
+
+
+def prime(p: int) -> int:
+    """is_prime of p: trial division, then up to 12 Miller-Rabin rounds
+    of about bits(p) squarings mod p each.  Over primes of 3 to 2400
+    bits it is 1.1x to 4x their time; a composite, which the first
+    round usually rejects, is charged as much as a prime."""
+    bits = p.bit_length()
+    return 12 * bits * _int_op(bits)
 
 
 def roots(f: IntPoly, p: int) -> int:

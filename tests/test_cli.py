@@ -319,11 +319,13 @@ class TestWorkLimits:
              "--seed", "0", "--allow-large"],
             ["tree", "--poly", "(x+1)^1000", "--prime", "1000000007",
              "--precision", "1", "--seed", "0", "--depth", "1"],
+            ["roots", "--poly", "x", "--prime", str(2**9689 - 1)],
         ],
-        ids=["roots", "oracle", "orbit", "preimages", "lift", "tree"],
+        ids=["roots", "oracle", "orbit", "preimages", "lift", "tree", "primality"],
     )
     def test_call_over_the_work_limit_is_refused_at_once(self, argv):
-        # these took 5.1 s, 5.9 s, over 30 s, over 3 s, 1.7 s and over 5 s
+        # these took 5.1 s, 5.9 s, over 30 s, over 3 s, 1.7 s, over 5 s
+        # and 30 s
         proc = run_python("-m", "padicdyn.cli", *argv, timeout=1)
         assert proc.returncode == 1
         payload = json.loads(proc.stdout)
@@ -332,6 +334,15 @@ class TestWorkLimits:
         assert payload["error"]["message"].endswith(
             f"steps of about 10 ns, over the limit of {work.MAX_WORK}"
         )
+
+    def test_prime_whose_test_fits_the_limit_is_accepted(self):
+        # the primality test of 2^1279 - 1 takes about 0.1 s
+        proc = run_python(
+            "-m", "padicdyn.cli", "roots", "--poly", "x", "--prime", str(2**1279 - 1),
+            timeout=5,
+        )
+        assert proc.returncode == 0
+        assert [r["residue"] for r in json.loads(proc.stdout)["roots"]] == [0]
 
     def test_estimate_at_the_limit_is_accepted(self):
         work.check(work.MAX_WORK, "a call")

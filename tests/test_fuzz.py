@@ -14,7 +14,8 @@ out or a value is malformed.  Each list runs in-process through
 A listing of every residue at the largest prime the roots refusal
 allows takes about 1 s, and so does a call at the CLI's work limit,
 hence 2 s and not 1 s.  The inputs include the default tree node
-budget and accepted polynomials up to degree 10^4, dense and sparse.
+budget, accepted polynomials up to degree 10^4, dense and sparse, and
+numbers whose primality test alone takes seconds.
 """
 
 import contextlib
@@ -33,7 +34,10 @@ LIMIT_S = 2.0
 RUNS = 500
 
 INTS = [0, 1, 2, 3, 7, 9, -1, -7, 256, 257, 99991, 100003, 1000003,
-        10**7, 10**9 + 7, -(10**9 + 7)]
+        10**7, 10**9 + 7, -(10**9 + 7),
+        # a prime whose primality test takes about 30 s, and a 4300-digit
+        # composite with no factor up to 37, whose test takes about 8 s
+        2**9689 - 1, 41 * (10**4298 + 7)]
 PRECISIONS = [-1, 0, 1, 2, 3, 256, 257, 5000, 20000, 10**9 + 7]
 NODE_BUDGETS = [-1, 0, 1, 3, 100, 2000, 100000]
 POLYS = [

@@ -19,6 +19,8 @@ class TestParsePoly:
 
     def test_whitespace_insensitive(self):
         assert parse_poly("x^2-7x+2") == parse_poly("  x^2 - 7 x + 2  ")
+        # any str.isspace character: no-break space, em space, tab, newline
+        assert parse_poly("x^2-7x+2") == parse_poly("x^2\u00a0-\u20037x\t+\n2")
 
     def test_implicit_multiplication(self):
         assert parse_poly("7x").coeffs == (0, 7)
@@ -72,6 +74,14 @@ class TestParsePoly:
                 parse_poly(text)
             assert err.value.position == pos
             assert f"position {pos}" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, char, pos", [("x + é", "é", 4), ("3x²", "²", 2), ("x^2 é", "é", 4)]
+    )
+    def test_other_characters_are_reported_where_they_stand(self, text, char, pos):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text)
+        assert str(err.value) == f"unexpected character {char!r} (at position {pos})"
 
     def test_adjacent_integers_rejected(self):
         with pytest.raises(PolyParseError):
