@@ -30,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import backward, congruence, hensel, work
 from .errors import BudgetExceededError, PadicDynError
-from .padic import Prime, as_prime
+from .padic import _MR_WITNESSES, Prime, as_prime
 from .parsing import parse_poly
 from .polynomial import IntPoly
 
@@ -78,8 +78,11 @@ def _check_modulus_size(p: int, k: int, allow_large: bool) -> None:
 
 
 def _as_prime(p: int) -> Prime:
-    # the primality test alone takes seconds for a p of a few thousand bits
-    work.check(work.prime(p), "the primality test")
+    # the primality test alone takes seconds for a p of a few thousand
+    # bits; its trial division by the witnesses does not, and rejects a
+    # composite they divide before the charge
+    if not any(p % q == 0 for q in _MR_WITNESSES):
+        work.check(work.prime(p), "the primality test")
     return as_prime(p)
 
 

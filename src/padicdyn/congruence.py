@@ -1,7 +1,8 @@
 """Root finding for f(x) = c (mod p) and a brute-force congruence oracle.
 
 The mod-p solver is FpPoly.roots, a gcd and equal-degree splitting
-root finder whose cost is polynomial in deg f and log p.  The oracle
+root finder that solves pieces of degree at most 2 by the quadratic
+formula, whose cost is polynomial in deg f and log p.  The oracle
 handles any modulus up to a configured bound and is the independent
 cross-check used throughout the test suite: it is exhaustive per
 prime-power factor, joined by CRT, and calls no root finder or lifter.
@@ -28,7 +29,7 @@ from typing import Union
 
 from .errors import PadicDynError
 from .padic import Frozen, Prime, as_prime
-from .polynomial import IntPoly, horner_mod, reduce_mod_p
+from .polynomial import FpPoly, IntPoly, horner_mod, reduce_mod_p
 
 DEFAULT_ORACLE_BOUND = 10**7
 
@@ -121,7 +122,9 @@ DEFAULT_NODE_BUDGET = 100_000
 def roots_mod_p(f: IntPoly, target: int, p: Union[int, Prime]) -> list[RootModP]:
     """All residues a in [0, p) with f(a) = target (mod p), ascending,
     each classified by the derivative of f at a mod p, taken from the
-    reduction h of f - target, since h' = f' mod p.
+    reduction h of f - target, since h' = f' mod p.  h is built from
+    f's coefficients with the target taken off the constant term, with
+    no IntPoly f - target in between.
 
     A reduction that vanishes identically means every residue is a
     root, and a singular one: f - target = p g gives f' = p g'.  Listing
@@ -130,7 +133,7 @@ def roots_mod_p(f: IntPoly, target: int, p: Union[int, Prime]) -> list[RootModP]
     """
     prime = as_prime(p)
     q = prime.p
-    h = reduce_mod_p(f - target, prime)
+    h = FpPoly(prime, (f.coeff(0) - target, *f.coeffs[1:]))
     if h.is_zero:
         if q > DEFAULT_NODE_BUDGET:
             raise PadicDynError(

@@ -4,8 +4,9 @@ The lift is unique, so Newton iteration computes it directly over the
 precisions 2, ..., ceil(k/2), k, the halvings of k, refining f'(a)^-1
 alongside by s <- s(2 - f'(a)s).  Each stage reads f - target and its
 derivative cut mod its own p^j, from one cached ladder of cuts that
-every seed of a backward step shares.  The residues a_j = root mod p^j
-form the root's PadicInt ladder, read on demand.
+every seed of a backward step shares; the derivative is cut at every
+precision but k, where no stage reads it.  The residues
+a_j = root mod p^j form the root's PadicInt ladder, read on demand.
 """
 
 from __future__ import annotations
@@ -82,15 +83,16 @@ def hensel_step(f: IntPoly, a: int, j: int, p: Union[int, Prime]) -> int:
 
 
 @lru_cache(maxsize=1)
-def _ladder(g: tuple[int, ...], k: int, q: int) -> tuple[tuple[int, tuple, tuple], ...]:
+def _ladder(g: tuple[int, ...], k: int, q: int) -> list[tuple[int, list, list]]:
     """The stages (p^j, g mod p^j, g' mod p^j) of a lift to p^k, for the
     precisions 1, 2, ..., ceil(k/2), k: the halvings of k, bottom up.
 
     g is cut mod p^k once and then from each precision to the next one
-    down, and g' is derived from each cut, so every evaluation works on
-    numbers below its own modulus.  The one-entry cache keeps the last
-    ladder alive until a lift of another (g, k, p); the seeds of one
-    backward step share it.
+    down, and g' is derived from each cut below the top one, so every
+    evaluation works on numbers below its own modulus.  No stage reads
+    g' mod p^k, so for k >= 2 the top stage holds None in its place.
+    The one-entry cache keeps the last ladder alive until a lift of
+    another (g, k, p); the seeds of one backward step share it.
     """
     levels = [k]
     while levels[-1] > 1:
@@ -103,9 +105,11 @@ def _ladder(g: tuple[int, ...], k: int, q: int) -> tuple[tuple[int, tuple, tuple
         moduli.append(m * m if next_j == 2 * j else m * m // q)
     stages = []
     for m in reversed(moduli):
-        g = tuple([c % m for c in g])
-        stages.append((m, g, tuple([i * c % m for i, c in enumerate(g) if i])))
-    return tuple(reversed(stages))
+        g = [c % m for c in g]
+        dg = [i * c % m for i, c in enumerate(g) if i] if stages or k == 1 else None
+        stages.append((m, g, dg))
+    stages.reverse()
+    return stages
 
 
 def hensel_lift(
@@ -118,18 +122,20 @@ def hensel_lift(
     """Lift a nonsingular root a0 of f = target (mod p) to the unique
     root mod p^k congruent to a0 mod p.
 
-    Each stage walks one rung of _ladder(f - target, k, p), at most
-    doubling the precision.  The stage to p^2 is one hensel_step; each
-    later one, from p^j to p^J, is the Newton update a - g(a) * s mod
-    p^J, with s = g'(a)^-1 kept correct mod p^j.  Seeds that are not
-    roots mod p, or are singular, are rejected before any stage.  f
-    need not be monic: only the seed's nonsingularity is used.
+    Each stage walks one rung of _ladder(g, k, p), at most doubling the
+    precision, where g = f - target is f's coefficient tuple with the
+    target taken off its constant term (no IntPoly is built for it).
+    The stage to p^2 is one hensel_step; each later one, from p^j to
+    p^J, is the Newton update a - g(a) * s mod p^J, with s = g'(a)^-1
+    kept correct mod p^j.  Seeds that are not roots mod p, or are
+    singular, are rejected before any stage.  f need not be monic: only
+    the seed's nonsingularity is used.
     """
     prime = as_prime(p)
     q = prime.p
     if k < 1:
         raise ValueError("precision must be at least 1")
-    stages = _ladder((f - target).coeffs, k, q)
+    stages = _ladder((f.coeff(0) - target, *f.coeffs[1:]), k, q)
     _, g, dg = stages[0]
     a = a0 % q
     if horner_mod(g, a, q) != 0:

@@ -228,6 +228,8 @@ class FpPoly(_Poly):
     def roots(self) -> list[int]:
         """All residues in [0, p) where the polynomial vanishes, ascending.
 
+        A monic h of degree at most 2 is solved by _low_degree_roots,
+        the quadratic formula, with no polynomial power.  Above that,
         Rabin's method: over F_p, p odd, x^p - x is
         x (x^((p-1)/2) - 1) (x^((p-1)/2) + 1), so with w = x^((p-1)/2)
         mod h, taken by repeated squaring on packed ints (see _powmod),
@@ -242,6 +244,8 @@ class FpPoly(_Poly):
         if p == 2:
             return [a for a in (0, 1) if self.eval(a) == 0]
         h = _monic(list(self.coeffs), p)
+        if len(h) <= 3:
+            return sorted(_low_degree_roots(h, p))
         w = _powmod([0, 1], (p - 1) // 2, h, p)
         roots = [0] if h[0] == 0 else []
         for c in (1, -1):
@@ -466,18 +470,20 @@ def _split_linear(g: list[int], p: int) -> list[int]:
     """Roots of a monic g over F_p, p odd, that is a product of distinct
     linear factors (unordered).
 
-    A factor x - r divides gcd(g, (x + a)^((p-1)/2) - 1) exactly when
-    r + a is a nonzero square.  Two distinct nonzero roots, all that
-    FpPoly.roots passes, differ in that respect for some a in [1, p), so
-    trying a = 1, 2, ... in turn always splits g.
+    A piece of degree at most 2 is solved by _low_degree_roots.  A
+    larger one is split by a shift: a factor x - r divides
+    gcd(g, (x + a)^((p-1)/2) - 1) exactly when r + a is a nonzero
+    square.  Two distinct nonzero roots, all that FpPoly.roots passes,
+    differ in that respect for some a in [1, p), so trying a = 1, 2, ...
+    in turn always splits g.
     """
     roots = []
-    pending = [g] if len(g) > 1 else []
+    pending = [g]
     a = 1
     while pending:
         g = pending.pop()
-        if len(g) == 2:
-            roots.append(-g[0] % p)
+        if len(g) <= 3:
+            roots += _low_degree_roots(g, p)
             continue
         while True:
             w = _powmod([a % p, 1], (p - 1) // 2, g, p)
@@ -487,6 +493,41 @@ def _split_linear(g: list[int], p: int) -> list[int]:
                 break
         pending += [s, _divmod(g, s, p)[0]]
     return roots
+
+
+def _low_degree_roots(h: list[int], p: int) -> list[int]:
+    """Roots of a monic h of degree at most 2 over F_p, p odd (unordered).
+
+    x^2 + b x + c has the roots (-b +- s) / 2 with s^2 = D = b^2 - 4c:
+    one if D = 0, none if D is a non-square, as Euler's criterion
+    D^((p-1)/2) = -1 tells.  s is Cipolla's square root: with the least
+    a for which n = a^2 - D is a non-square, (a + y)^((p+1)/2) in
+    F_p[y]/(y^2 - n) is s, as (a + y)^p = a - y there.  It takes
+    O(log p) multiplications whatever the power of 2 in p - 1, where
+    Tonelli-Shanks takes O(v^2) for v = v2(p - 1).
+    """
+    if len(h) < 3:
+        return [-h[0] % p] if len(h) == 2 else []
+    c, b = h[0], h[1]
+    d = (b * b - 4 * c) % p
+    half = (p + 1) // 2
+    if d == 0:
+        return [-b * half % p]
+    if pow(d, half - 1, p) != 1:
+        return []
+    # n = 0 stops the search too: then a is a root of D, and the power
+    # below is a^((p+1)/2) = +-a
+    a = 0
+    while pow((a * a - d) % p, half - 1, p) == 1:
+        a += 1
+    n = (a * a - d) % p
+    # u + v y, raised to (p+1)/2 by left-to-right squaring
+    u, v = a, 1
+    for bit in bin(half)[3:]:
+        u, v = (u * u + v * v * n) % p, 2 * u * v % p
+        if bit == "1":
+            u, v = (u * a + v * n) % p, (u + v * a) % p
+    return [(-b + u) * half % p, (-b - u) * half % p]
 
 
 def _x_pow_p_minus_x(prime: Prime) -> FpPoly:

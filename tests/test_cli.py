@@ -344,6 +344,38 @@ class TestWorkLimits:
         assert proc.returncode == 0
         assert [r["residue"] for r in json.loads(proc.stdout)["roots"]] == [0]
 
+    @pytest.mark.parametrize(
+        "prime, error",
+        [
+            (2**3000, "NotPrimeError"),  # even: trial division rejects it
+            (3 * 2**3000 + 3, "NotPrimeError"),
+            (9, "NotPrimeError"),
+            (2**3217 - 1, "BudgetExceededError"),  # prime, over the limit
+        ],
+        ids=["2^3000", "3(2^3000+1)", "9", "2^3217-1"],
+    )
+    def test_prime_a_witness_divides_is_not_charged(self, prime, error):
+        # these two composites were refused as over the work limit,
+        # estimated at 199254396 steps, before trial division ran
+        proc = run_python(
+            "-m", "padicdyn.cli", "roots", "--poly", "x", "--prime", str(prime), timeout=1
+        )
+        assert proc.returncode == 1
+        payload = json.loads(proc.stdout)
+        jsonschema.validate(payload, SCHEMAS["error"])
+        assert payload["error"]["type"] == error
+
+    def test_square_root_mod_a_prime_with_a_high_power_of_two(self):
+        # p - 1 = 277 * 2^1200: Tonelli-Shanks, O(1200^2) multiplications,
+        # took 2.1 s for this root, Cipolla's O(log p) about 0.05 s
+        p = 277 * 2**1200 + 1
+        proc = run_python(
+            "-m", "padicdyn.cli", "roots", "--poly", "x^2-3969", "--prime", str(p),
+            timeout=1,
+        )
+        assert proc.returncode == 0, proc.stdout
+        assert [r["residue"] for r in json.loads(proc.stdout)["roots"]] == [63, p - 63]
+
     def test_estimate_at_the_limit_is_accepted(self):
         work.check(work.MAX_WORK, "a call")
         with pytest.raises(BudgetExceededError, match="^a call is estimated at "

@@ -208,8 +208,9 @@ class TestRootFinder:
 class TestRootSplitting:
     """FpPoly.roots takes w = x^((p-1)/2) mod h once, and w alone sorts
     the roots of h into 0, the nonzero squares (gcd(h, w - 1)) and the
-    non-squares (gcd(h, w + 1)); each gcd with two or more roots is then
-    split by shifts a = 1, 2, ..."""
+    non-squares (gcd(h, w + 1)); each gcd with three or more roots is
+    then split by shifts a = 1, 2, ..., and every piece of degree at
+    most 2 is solved by the quadratic formula, with no power."""
 
     # p = 3 mod 4, then p = 1 mod 4
     PRIMES = [3, 7, 11, 19, 23, 43, 5, 13, 17, 29, 37, 101]
@@ -253,13 +254,16 @@ class TestRootSplitting:
     @pytest.mark.parametrize(
         "roots, powers",
         [
-            ([1, 4], 2),  # both squares mod 7: w sorts, a = 1 splits
-            ([3, 5], 2),  # both non-squares
+            ([1, 4], 1),  # both squares mod 7: w sorts, the formula splits
+            ([3, 5], 1),  # both non-squares
             ([0, 3], 1),  # 0 is read off h(0): w alone sorts
-            ([0, 3, 5], 2),
+            ([0, 3, 5], 1),
             ([1, 3], 1),  # a square and a non-square: w alone splits
             ([0, 1], 1),
             ([2], 1),  # one root: nothing to split
+            # three squares: the gcd has degree 3, and a = 1 splits it
+            # into 2 (a non-square) and 3, 5 (squares), a quadratic
+            ([1, 2, 4], 2),
         ],
     )
     def test_first_split_reuses_w(self, monkeypatch, roots, powers):
@@ -303,6 +307,108 @@ class TestRootSplitting:
             g = g * IntPoly((1, 0, 1)) ** (i % 3) * rng.randrange(1, p)
             assert reduce_mod_p(g, p).roots() == [r, s]
             assert [x.residue for x in roots_mod_p(g + 5, 5, p)] == [r, s]
+
+
+class TestLowDegreeRoots:
+    """A monic piece of degree at most 2, h itself or one left by the
+    gcds and shifts, is solved by the quadratic formula with Cipolla's
+    square root, checked here against the exhaustive scan."""
+
+    # small ones, and some with a high power of 2 in p - 1 (7681 =
+    # 15 * 2^9 + 1, 7937 = 31 * 2^8 + 1, 257 = 2^8 + 1)
+    PRIMES = [3, 5, 7, 11, 13, 17, 257, 7681, 7937, 9973]
+
+    def _quadratic(self, rng, p, kind):
+        lead = rng.choice([1, rng.randrange(1, p)]) + p * rng.randint(-2, 2)
+        if kind == 0:  # D = 0: a double root
+            r = rng.randrange(p)
+            return lead * IntPoly((-r, 1)) ** 2
+        if kind == 1:  # h(0) = 0
+            return lead * IntPoly((0, rng.randrange(p), 1))
+        b, c = rng.randrange(p), rng.randrange(p)
+        if kind == 2:  # D a non-square: none
+            squares = {r * r % p for r in range(p)}
+            while (b * b - 4 * c) % p in squares:
+                b, c = rng.randrange(p), rng.randrange(p)
+        return lead * IntPoly((c, b, 1)) + p * random_int_poly(rng, 2)
+
+    def test_quadratics_match_exhaustive_scan(self, monkeypatch):
+        from padicdyn import polynomial
+
+        def no_power(*args):
+            raise AssertionError("a quadratic h took a polynomial power")
+
+        monkeypatch.setattr(polynomial, "_powmod", no_power)
+        rng = random.Random(2101)
+        # and primes drawn at random below 10^4
+        primes = self.PRIMES + [
+            q for q in (rng.randrange(20, 10**4) for _ in range(60))
+            if all(q % d for d in range(2, int(q**0.5) + 1))
+        ]
+        for i in range(400):
+            p, kind = primes[i % len(primes)], i % 4
+            f = self._quadratic(rng, p, kind)
+            # the first three kinds keep their shape at t = 0 mod p
+            t = p * rng.randint(-3, 3) if kind < 3 else rng.randint(-3 * p, 3 * p)
+            expected = exhaustive_roots(f, t, p)
+            if kind == 0:
+                assert len(expected) == 1
+            elif kind == 1:
+                assert 0 in expected
+            elif kind == 2:
+                assert expected == []
+            assert reduce_mod_p(f - t, p).roots() == expected
+            assert [r.residue for r in roots_mod_p(f, t, p)] == expected
+
+    def test_pieces_from_higher_degree(self, monkeypatch):
+        # planted roots of one square class, so that w leaves a gcd of
+        # degree 2 or more for the shifts, times x^2 - n with n a
+        # non-square, which has no roots
+        from padicdyn import polynomial
+
+        pieces = []
+        low = polynomial._low_degree_roots
+
+        def recorded(h, p):
+            pieces.append(len(h) - 1)
+            return low(h, p)
+
+        monkeypatch.setattr(polynomial, "_low_degree_roots", recorded)
+        rng = random.Random(2102)
+        for i in range(120):
+            p = self.PRIMES[1 + i % 6]
+            squares = sorted({r * r % p for r in range(1, p)})
+            pool = squares if i % 2 else [r for r in range(1, p) if r not in squares]
+            n = next(r for r in range(2, p) if r not in squares)
+            f = IntPoly((-n, 0, 1)) * rng.randrange(1, p)
+            for r in rng.sample(pool, min(len(pool), rng.randint(2, 6))):
+                f = f * IntPoly((-r, 1)) ** rng.randint(1, 2)
+            if i % 3 == 0:
+                f = f * IntPoly((0, 1))
+            assert reduce_mod_p(f, p).roots() == exhaustive_roots(f, 0, p)
+        assert pieces.count(2) > 100
+
+    @pytest.mark.parametrize("p", [998244353, 2**64 - 2**32 + 1, 2**255 - 19])
+    def test_large_prime_planted_roots(self, p):
+        # every root found is a root, and there are 1 + chi(D) of them
+        rng = random.Random(p % 1000)
+        for i in range(60):
+            lead = rng.randrange(1, p)
+            if i % 3 == 0:
+                r, s = rng.randrange(p), rng.randrange(p)
+                if i % 9 == 0:
+                    s = r
+                f = lead * IntPoly((-r, 1)) * IntPoly((-s, 1))
+            else:
+                f = lead * IntPoly((rng.randrange(p), rng.randrange(p), 1))
+            c, b, _ = reduce_mod_p(f * pow(lead, -1, p), p).coeffs
+            d = (b * b - 4 * c) % p
+            chi = 0 if d == 0 else 1 if pow(d, (p - 1) // 2, p) == 1 else -1
+            roots = reduce_mod_p(f, p).roots()
+            assert len(roots) == 1 + chi
+            assert all(eval_mod(f, x, p) == 0 for x in roots)
+            if i % 3 == 0:
+                assert roots == sorted({r, s})
 
 
 class TestFermatReduce:
