@@ -12,7 +12,6 @@ branch ends.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING, Sequence, Union
 
 from .congruence import DEFAULT_NODE_BUDGET, RootModP, roots_mod_p
@@ -43,12 +42,11 @@ def preimages(
     residues mod p^k (ascending), and the singular mod-p roots left
     unexpanded.  Both lists may be empty.
 
-    When g = f - target has a lead coefficient = 1 (mod p^k) and d =
-    deg g nonsingular roots mod p, g splits over Z_p into d distinct
-    linear factors, so its roots sum to -c_(d-1), the coefficient of
-    x^(d-1).  Then the last root mod p^k is that sum less the d - 1
-    lifted ones, and only they are lifted.  Any other step, among them
-    one whose lead is a unit other than 1, lifts every root.
+    When g = f - target has d = deg f nonsingular roots mod p, g mod p
+    has degree d, so its lead c_d is a unit and g splits over Z_p into d
+    distinct linear factors: its roots sum to -c_(d-1)/c_d.  Then only
+    d - 1 roots are lifted, and the last one mod p^k is that sum less
+    the lifted ones.  Any other step lifts every nonsingular root.
     """
     prime = as_prime(p)
     if k < 1:
@@ -60,7 +58,7 @@ def preimages(
     m = prime.p**k
     target %= m
     d = f.degree
-    split = d >= 1 and len(seeds) == d and (f.coeffs[-1] - 1) % m == 0
+    split = d >= 1 and len(seeds) == d
     lifted = [
         hensel_lift(f, a, k, prime, target=target).root
         for a in (seeds[:-1] if split else seeds)
@@ -68,7 +66,7 @@ def preimages(
     if split:
         # c_(d-1) of f - target, which differs from f's only at d = 1
         c = f.coeff(d - 1) - (target if d == 1 else 0)
-        lifted.append((-c - sum(lifted)) % m)
+        lifted.append((-c * pow(f.coeffs[-1], -1, m) - sum(lifted)) % m)
     return sorted(lifted), singular
 
 
@@ -191,11 +189,15 @@ def backward_tree(
     """Expand the iterated-preimage tree of f from `seed` to the given
     depth, breadth-first.
 
-    Depth-d nodes are the preimages of depth-(d-1) values.  Nodes at the
-    requested depth are marked frontier; nodes whose congruence has no
-    solutions become no-preimage leaves; singular mod-p roots become
-    singular leaves.  If the node budget runs out the expansion stops
-    and the partial tree is flagged incomplete (unexpanded nodes stay
+    Depth-d nodes are the preimages of depth-(d-1) values, one
+    `preimages` step per expanded node.  Node ids are creation order,
+    which is breadth-first order, so the walk reads the node list
+    itself: no queue is kept beside it.  Nodes at the requested depth
+    are marked frontier; nodes whose congruence has no solutions become
+    no-preimage leaves; singular mod-p roots become singular leaves.
+    The budget is checked before a node is marked: if its children
+    would take the tree past max_nodes, the expansion stops there and
+    the partial tree is flagged incomplete (unexpanded nodes stay
     frontier).
     """
     from .node import BackwardNode
@@ -209,52 +211,37 @@ def backward_tree(
     modulus = prime.p**k
     seed %= modulus
 
-    values: list[int] = [seed]
-    depths: list[int] = [0]
-    parents: list[int | None] = [None]
-    statuses: list[str | None] = [FRONTIER if depth == 0 else None]
+    # one row [value, depth, status, parent] per node, in creation order;
+    # a status of None marks a row still to expand
+    rows: list[list] = [[seed, 0, FRONTIER if depth == 0 else None, None]]
     children: dict[int, list[int]] = {}
     complete = True
-
-    queue: deque[int] = deque()
-    if depth > 0:
-        queue.append(0)
-
-    while queue:
-        nid = queue.popleft()
-        lifted, singular = preimages(f, values[nid], prime, k)
+    for nid, row in enumerate(rows):
+        if row[2] is not None:
+            continue
+        lifted, singular = preimages(f, row[0], prime, k)
         kids = sorted(
             [(v, False) for v in lifted] + [(r.residue, True) for r in singular]
         )
-        if len(values) + len(kids) > max_nodes:
+        if len(rows) + len(kids) > max_nodes:
             complete = False
             break
         if not kids:
-            statuses[nid] = NO_PREIMAGE_LEAF
+            row[2] = NO_PREIMAGE_LEAF
             continue
-        statuses[nid] = EXPANDED
-        child_depth = depths[nid] + 1
-        ids = []
+        row[2] = EXPANDED
+        child_depth = row[1] + 1
+        lifted_status = FRONTIER if child_depth == depth else None
+        children[nid] = list(range(len(rows), len(rows) + len(kids)))
         for value, is_singular in kids:
-            cid = len(values)
-            values.append(value)
-            depths.append(child_depth)
-            parents.append(nid)
-            if is_singular:
-                statuses.append(SINGULAR_LEAF)
-            elif child_depth == depth:
-                statuses.append(FRONTIER)
-            else:
-                statuses.append(None)
-                queue.append(cid)
-            ids.append(cid)
-        children[nid] = ids
+            status = SINGULAR_LEAF if is_singular else lifted_status
+            rows.append([value, child_depth, status, nid])
 
     # Anything left unexpanded (budget stop) is a frontier of the
     # partial tree.
     nodes = [
-        BackwardNode(i, values[i], depths[i], statuses[i] or FRONTIER, parents[i])
-        for i in range(len(values))
+        BackwardNode(i, value, node_depth, status or FRONTIER, parent)
+        for i, (value, node_depth, status, parent) in enumerate(rows)
     ]
     return BackwardTree(prime, k, f, seed, depth, nodes, children, complete)
 
@@ -305,10 +292,9 @@ def forward_orbit(
     for i in range(1, steps + 1):
         x = eval_mod(f, x, modulus)
         terms.append(x)
-        if cycle is None and x in first_seen:
-            tail = first_seen[x]
-            cycle = i - first_seen[x]
-        first_seen.setdefault(x, i)
+        seen = first_seen.setdefault(x, i)
+        if cycle is None and seen < i:
+            tail, cycle = seen, i - seen
     return OrbitResult(tuple(terms), tail, cycle)
 
 

@@ -29,8 +29,8 @@ import sys
 from typing import Callable, Iterable, NamedTuple
 
 from . import backward, congruence, hensel, work
-from .errors import BudgetExceededError, PadicDynError
-from .padic import _MR_WITNESSES, Prime, as_prime
+from .errors import BudgetExceededError, NotPrimeError, PadicDynError
+from .padic import _MR_WITNESSES, Prime, _miller_rabin_round, as_prime
 from .parsing import parse_poly
 from .polynomial import IntPoly
 
@@ -80,9 +80,15 @@ def _check_modulus_size(p: int, k: int, allow_large: bool) -> None:
 def _as_prime(p: int) -> Prime:
     # the primality test alone takes seconds for a p of a few thousand
     # bits; its trial division by the witnesses does not, and rejects a
-    # composite they divide before the charge
+    # composite they divide before the charge.  A test over the limit
+    # whose first round alone fits runs that round before it is refused,
+    # and reports a composite that fails it as not prime
     if not any(p % q == 0 for q in _MR_WITNESSES):
-        work.check(work.prime(p), "the primality test")
+        steps = work.prime(p)
+        one_round = steps // len(_MR_WITNESSES)
+        if one_round <= work.MAX_WORK < steps and not _miller_rabin_round(p, 2):
+            raise NotPrimeError(f"{p} is not prime")
+        work.check(steps, "the primality test")
     return as_prime(p)
 
 

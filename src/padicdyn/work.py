@@ -30,6 +30,7 @@ import math
 
 from .congruence import _BLOCK, _numpy_scans, _prime_power_factors
 from .errors import BudgetExceededError
+from .padic import _MR_WITNESSES
 from .polynomial import IntPoly
 
 MAX_WORK = 10**8
@@ -62,11 +63,12 @@ def _evaluation(f: IntPoly, p: int, k: int) -> int:
 
 def prime(p: int) -> int:
     """is_prime of p: trial division, then up to 12 Miller-Rabin rounds
-    of about bits(p) squarings mod p each.  Over primes of 3 to 2400
-    bits it is 1.1x to 4x their time; a composite, which the first
-    round usually rejects, is charged as much as a prime."""
+    of about bits(p) squarings mod p each, charged at a twelfth of the
+    estimate each.  Over primes of 3 to 2400 bits it is 1.1x to 4x their
+    time; a composite, which the first round usually rejects, is charged
+    as much as a prime."""
     bits = p.bit_length()
-    return 12 * bits * _int_op(bits)
+    return len(_MR_WITNESSES) * bits * _int_op(bits)
 
 
 def roots(f: IntPoly, p: int) -> int:

@@ -104,8 +104,9 @@ class TestPreimages:
 
 
 class TestLastRootFromCoefficientSum:
-    """A step whose g = f - t is monic mod p^k with deg g nonsingular
-    roots mod p lifts all but one; the last is -c_(d-1) less the others."""
+    """A step whose g = f - t has deg g nonsingular roots mod p, whatever
+    its unit lead c_d, lifts exactly all but one; the last is
+    -c_(d-1)/c_d less the others."""
 
     @staticmethod
     def counted_lifts(monkeypatch):
@@ -141,17 +142,27 @@ class TestLastRootFromCoefficientSum:
             if not r.singular
         )
 
-    def test_planted_monic_steps_match_every_lift_and_the_oracle(self, monkeypatch):
+    @pytest.mark.parametrize("lead", ["monic", "unit-lead", "lead-1-mod-p"])
+    def test_split_steps_lift_all_but_one(self, monkeypatch, lead):
+        # and match lifting every root one by one, and the oracle
         rng = random.Random(131)
         calls = self.counted_lifts(monkeypatch)
+        primes = [2, 3, 7, 11, 13, 101, 997, 40009, 2**61 - 1]
         for _ in range(150):
-            p = rng.choice([7, 11, 13, 101, 997, 40009, 2**61 - 1])
-            d = rng.randint(2, 6)
-            k = rng.randint(1, 40)
+            p = rng.choice(primes[1:] if lead == "unit-lead" else primes)
+            d = rng.randint(2, min(p, 6))
+            k = rng.randint(2 if lead == "lead-1-mod-p" else 1, 40)
             m = p**k
-            # a lead = 1 (mod p^k) need not be 1
-            lead = 1 + m * rng.choice([0, 0, 1, -3, p**5])
-            f = self.planted(rng, p, rng.sample(range(p), d), lead)
+            if lead == "monic":
+                # a lead = 1 (mod p^k) need not be 1
+                c = 1 + m * rng.choice([0, 0, 1, -3, p**5])
+            elif lead == "unit-lead":
+                c = rng.randint(2, p - 1) + m * rng.randint(-3, 3)
+            else:
+                # = 1 (mod p), not (mod p^k): every unit lead at p = 2
+                c = 1 + rng.choice([-1, 1]) * p * rng.randrange(1, p ** (k - 1))
+            f = self.planted(rng, p, rng.sample(range(p), d), c)
+            assert (f.coeffs[-1] % m == 1) == (lead == "monic")
             t = p * rng.randrange(-(m**2), m**2)
             calls.clear()
             lifted, singular = preimages(f, t, p, k)
@@ -167,7 +178,30 @@ class TestLastRootFromCoefficientSum:
         assert preimages(f, 5, p, k) == ([(5 - 12345) % p**k], [])
         assert calls == []
 
-    @pytest.mark.parametrize("case", ["unit-lead", "lead-divisible-by-p", "singular"])
+    @pytest.mark.parametrize(
+        "f, p, k",
+        [
+            (IntPoly((12345, 3 + 7**30)), 7, 30),
+            (IntPoly((-4, -1)), 5, 8),
+            (IntPoly((7, 1 + 11)), 11, 5),
+            (IntPoly((1, 3)), 2, 19),
+            (IntPoly((10**40 + 1, 5 - 2**70)), 2, 64),
+        ],
+        ids=["3+7^30", "-1", "1+p", "p=2", "p=2-wide"],
+    )
+    def test_linear_step_with_a_unit_lead_lifts_nothing(self, monkeypatch, f, p, k):
+        calls = self.counted_lifts(monkeypatch)
+        m = p**k
+        c0, c1 = f.coeffs
+        assert c1 % m != 1
+        for t in (0, 5, -(10**30), m - 1):
+            x = (t - c0) * pow(c1, -1, m) % m
+            assert preimages(f, t, p, k) == ([x], [])
+            if m <= 10**6:
+                assert [x] == solve_congruence_bruteforce(f, t, m)
+        assert calls == []
+
+    @pytest.mark.parametrize("case", ["lead-divisible-by-p", "singular"])
     def test_other_steps_lift_every_root(self, monkeypatch, case):
         rng = random.Random(137)
         calls = self.counted_lifts(monkeypatch)
@@ -177,9 +211,7 @@ class TestLastRootFromCoefficientSum:
             m = p**k
             d = rng.randint(2, 5)
             roots = rng.sample(range(p), d)
-            if case == "unit-lead":
-                f = self.planted(rng, p, roots, lead=rng.randint(2, p - 1))
-            elif case == "lead-divisible-by-p":
+            if case == "lead-divisible-by-p":
                 # deg f = d + 1, one more than its roots mod p
                 f = self.planted(rng, p, roots, extra=[0] * (d + 1) + [p])
             else:
@@ -349,6 +381,17 @@ class TestForwardOrbit:
             orbit = forward_orbit(f, seed, p, k, p**k)
             assert orbit.preperiodic
             assert orbit.tail_length + orbit.cycle_length <= p**k
+
+    @pytest.mark.parametrize(
+        "k, steps, message",
+        [(0, 1, "precision must be at least 1"),
+         (-1, 1, "precision must be at least 1"),
+         (1, -1, "steps must be nonnegative")],
+        ids=["k=0", "k=-1", "steps=-1"],
+    )
+    def test_rejects_bad_arguments(self, k, steps, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            forward_orbit(SQUARE, 3, 7, k, steps)
 
 
 class TestDistances:

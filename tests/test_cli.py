@@ -305,6 +305,20 @@ class TestParserLimits:
             assert payload["error"]["type"] == "PolyParseError"
 
 
+def composite_no_witness_divides():
+    """41 (2^2994 + j), j the least odd number that leaves it coprime to
+    the witnesses 2 to 37: its primality test is over the work limit,
+    and one round of the test is within it."""
+    from padicdyn.padic import _MR_WITNESSES
+
+    j = 1
+    while math.gcd(41 * (2**2994 + j), math.prod(_MR_WITNESSES)) != 1:
+        j += 2
+    n = 41 * (2**2994 + j)
+    assert work.prime(n) > work.MAX_WORK >= work.prime(n) // len(_MR_WITNESSES)
+    return n
+
+
 class TestWorkLimits:
     @pytest.mark.parametrize(
         "argv",
@@ -351,12 +365,14 @@ class TestWorkLimits:
             (3 * 2**3000 + 3, "NotPrimeError"),
             (9, "NotPrimeError"),
             (2**3217 - 1, "BudgetExceededError"),  # prime, over the limit
+            # 903 digits: its base-2 round fits the limit and rejects it
+            (composite_no_witness_divides(), "NotPrimeError"),
         ],
-        ids=["2^3000", "3(2^3000+1)", "9", "2^3217-1"],
+        ids=["2^3000", "3(2^3000+1)", "9", "2^3217-1", "41(2^2994+j)"],
     )
     def test_prime_a_witness_divides_is_not_charged(self, prime, error):
-        # these two composites were refused as over the work limit,
-        # estimated at 199254396 steps, before trial division ran
+        # these composites were refused as over the work limit,
+        # estimated at about 199 million steps, before a test ran
         proc = run_python(
             "-m", "padicdyn.cli", "roots", "--poly", "x", "--prime", str(prime), timeout=1
         )
@@ -838,6 +854,29 @@ class TestErrors:
         assert code == 1
         assert payload["error"]["type"] == "NotPrimeError"
         jsonschema.validate(payload, SCHEMAS["error"])
+
+    @pytest.mark.parametrize(
+        "argv, env, message",
+        [
+            (["dist", "--s", "1,2", "--t", "1,3", "--metric", "series"], None,
+             "--prime is required for the series metric"),
+            (["tree", "--poly", "x^2", "--prime", "7", "--precision", "1",
+              "--seed", "2", "--depth", "1"], "many",
+             "PADIC_DYN_MAX_NODES must be an integer, got 'many'"),
+            (["dist", "--s", "1,x", "--t", "1,2"], None,
+             "--s must be a comma-separated list of integers"),
+            (["dist", "--s", "1,2", "--t", "1;2"], None,
+             "--t must be a comma-separated list of integers"),
+        ],
+        ids=["series-without-prime", "env-budget", "s-not-integers", "t-not-integers"],
+    )
+    def test_bad_values_are_domain_errors(self, capsys, monkeypatch, argv, env, message):
+        if env is not None:
+            monkeypatch.setenv("PADIC_DYN_MAX_NODES", env)
+        code, payload = run_json(capsys, *argv)
+        assert code == 1
+        jsonschema.validate(payload, SCHEMAS["error"])
+        assert payload["error"] == {"type": "PadicDynError", "message": message}
 
     def test_singular_seed_is_domain_error(self, capsys):
         code, payload = run_json(

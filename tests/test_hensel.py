@@ -38,6 +38,11 @@ class TestHenselStep:
         with pytest.raises(SingularRootError):
             hensel_step(IntPoly((0, 0, 1)), 0, 1, 5)
 
+    @pytest.mark.parametrize("j", [0, -1])
+    def test_level_below_one_rejected(self, j):
+        with pytest.raises(ValueError, match="^level must be at least 1$"):
+            hensel_step(IntPoly((-2, 0, 1)), 3, j, 7)
+
     def test_error_types_are_distinct(self):
         assert not issubclass(NotARootError, SingularRootError)
         assert not issubclass(SingularRootError, NotARootError)
