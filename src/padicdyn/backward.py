@@ -54,7 +54,7 @@ def preimages(
     roots = roots_mod_p(f, target, prime)
     seeds = [r.residue for r in roots if not r.singular]
     singular = [r for r in roots if r.singular]
-    # every lift reads one ladder, whose top cut reduces f mod p^k once
+    # each lift cuts f - target mod p^k itself, for its own stages
     m = prime.p**k
     target %= m
     d = f.degree

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import backward, congruence, hensel, work
 from .errors import BudgetExceededError, NotPrimeError, PadicDynError
-from .padic import _MR_WITNESSES, Prime, _miller_rabin_round, as_prime
+from .padic import _MR_WITNESSES, _SMALL_PRIMES, Prime, _miller_rabin_round, as_prime
 from .parsing import parse_poly
 from .polynomial import IntPoly
 
@@ -79,11 +79,11 @@ def _check_modulus_size(p: int, k: int, allow_large: bool) -> None:
 
 def _as_prime(p: int) -> Prime:
     # the primality test alone takes seconds for a p of a few thousand
-    # bits; its trial division by the witnesses does not, and rejects a
-    # composite they divide before the charge.  A test over the limit
-    # whose first round alone fits runs that round before it is refused,
-    # and reports a composite that fails it as not prime
-    if not any(p % q == 0 for q in _MR_WITNESSES):
+    # bits; its trial division by the primes below 256 does not, and
+    # rejects a composite they divide before the charge.  A test over the
+    # limit whose first round alone fits runs that round before it is
+    # refused, and reports a composite that fails it as not prime
+    if not any(p % q == 0 for q in _SMALL_PRIMES):
         steps = work.prime(p)
         one_round = steps // len(_MR_WITNESSES)
         if one_round <= work.MAX_WORK < steps and not _miller_rabin_round(p, 2):

@@ -2,17 +2,16 @@
 
 The lift is unique, so Newton iteration computes it directly over the
 precisions 2, ..., ceil(k/2), k, the halvings of k, refining f'(a)^-1
-alongside by s <- s(2 - f'(a)s).  Each stage reads f - target and its
-derivative cut mod its own p^j, from one cached ladder of cuts that
-every seed of a backward step shares; the derivative is cut at every
-precision but k, where no stage reads it.  The residues
-a_j = root mod p^j form the root's PadicInt ladder, read on demand.
+alongside by s <- s(2 - f'(a)s).  Each lift cuts f - target mod each
+of its own p^j, once, and each stage reads its derivative from the cut
+below it; nothing is kept between calls.  The residues a_j = root mod
+p^j form the root's PadicInt ladder, read on demand.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from typing import Union
+from functools import cached_property
+from typing import Sequence, Union
 
 from .errors import NotARootError, SingularRootError
 from .padic import CoherentSequence, Frozen, PadicInt, Prime, as_prime
@@ -61,55 +60,29 @@ def hensel_step(f: IntPoly, a: int, j: int, p: Union[int, Prime]) -> int:
 
     Requires f(a) = 0 (mod p^j) and f'(a) != 0 (mod p); the two
     precondition failures raise NotARootError and SingularRootError
-    respectively.  The correction is t = -(f(a)/p^j) * f'(a)^-1 mod p,
-    applied as a + t*p^j.
+    respectively.  The step is the Newton update a - f(a) * f'(a)^-1
+    mod p^(j+1), the one every later stage of hensel_lift applies: as
+    p^j divides f(a), f'(a)^-1 is needed only mod p.
     """
     prime = as_prime(p)
     q = prime.p
     if j < 1:
         raise ValueError("level must be at least 1")
     step_mod = q ** (j + 1)
-    # Evaluating mod p^(j+1) is enough: only f(a)/p^j mod p is needed.
     residue = eval_mod(f, a, step_mod)
     if residue % q**j != 0:
         raise NotARootError(f"{a} is not a root modulo {q}^{j}")
-    d = eval_mod(f.derivative(), a, q)
+    d = horner_mod(_derivative(f.coeffs), a % q, q)
     if d == 0:
         raise SingularRootError(
             f"derivative vanishes at {a} mod {q}: no unique lift exists"
         )
-    t = -(residue // q**j) * pow(d, -1, q) % q
-    return (a + t * q**j) % step_mod
+    return (a - residue * pow(d, -1, q)) % step_mod
 
 
-@lru_cache(maxsize=1)
-def _ladder(g: tuple[int, ...], k: int, q: int) -> list[tuple[int, list, list]]:
-    """The stages (p^j, g mod p^j, g' mod p^j) of a lift to p^k, for the
-    precisions 1, 2, ..., ceil(k/2), k: the halvings of k, bottom up.
-
-    g is cut mod p^k once and then from each precision to the next one
-    down, and g' is derived from each cut below the top one, so every
-    evaluation works on numbers below its own modulus.  No stage reads
-    g' mod p^k, so for k >= 2 the top stage holds None in its place.
-    The one-entry cache keeps the last ladder alive until a lift of
-    another (g, k, p); the seeds of one backward step share it.
-    """
-    levels = [k]
-    while levels[-1] > 1:
-        levels.append((levels[-1] + 1) // 2)
-    levels.reverse()
-    # each p^j once, squaring up from p
-    moduli = [q]
-    for j, next_j in zip(levels, levels[1:]):
-        m = moduli[-1]
-        moduli.append(m * m if next_j == 2 * j else m * m // q)
-    stages = []
-    for m in reversed(moduli):
-        g = [c % m for c in g]
-        dg = [i * c % m for i, c in enumerate(g) if i] if stages or k == 1 else None
-        stages.append((m, g, dg))
-    stages.reverse()
-    return stages
+def _derivative(coeffs: Sequence[int]) -> list[int]:
+    """The coefficients of the derivative, constant first."""
+    return [i * c for i, c in enumerate(coeffs) if i]
 
 
 def hensel_lift(
@@ -122,25 +95,39 @@ def hensel_lift(
     """Lift a nonsingular root a0 of f = target (mod p) to the unique
     root mod p^k congruent to a0 mod p.
 
-    Each stage walks one rung of _ladder(g, k, p), at most doubling the
-    precision, where g = f - target is f's coefficient tuple with the
-    target taken off its constant term (no IntPoly is built for it).
-    The stage to p^2 is one hensel_step; each later one, from p^j to
-    p^J, is the Newton update a - g(a) * s mod p^J, with s = g'(a)^-1
-    kept correct mod p^j.  Seeds that are not roots mod p, or are
-    singular, are rejected before any stage.  f need not be monic: only
-    the seed's nonsingularity is used.
+    The stages are the pairs (p^j, g mod p^j) for the precisions 1, 2,
+    ..., ceil(k/2), k, the halvings of k, where g = f - target is f's
+    coefficient list with the target taken off its constant term.  g is
+    cut mod p^k once and then from each precision to the next one down,
+    so every evaluation works on numbers below its own modulus.  The
+    stage to p^2 is one hensel_step; each later one, from p^j to p^J, is
+    the same Newton update a - g(a) * s mod p^J, with s = g'(a)^-1 kept
+    correct mod p^j from the cut mod p^j.  Seeds that are not roots mod
+    p, or are singular, are rejected before any stage.  f need not be
+    monic: only the seed's nonsingularity is used.
     """
     prime = as_prime(p)
     q = prime.p
     if k < 1:
         raise ValueError("precision must be at least 1")
-    stages = _ladder((f.coeff(0) - target, *f.coeffs[1:]), k, q)
-    _, g, dg = stages[0]
+    levels = [k]
+    while levels[-1] > 1:
+        levels.append((levels[-1] + 1) // 2)
+    levels.reverse()
+    # each p^j once, squaring up from p
+    moduli = [q]
+    for j, next_j in zip(levels, levels[1:]):
+        m = moduli[-1]
+        moduli.append(m * m if next_j == 2 * j else m * m // q)
+    g = [f.coeff(0) - target, *f.coeffs[1:]]
+    stages = []
+    for m in reversed(moduli):
+        g = [c % m for c in g]
+        stages.insert(0, (m, g))
     a = a0 % q
     if horner_mod(g, a, q) != 0:
         raise NotARootError(f"seed {a0} is not a root of the congruence modulo {q}")
-    d = horner_mod(dg, a, q)
+    d = horner_mod(_derivative(g), a, q)
     if d == 0:
         raise SingularRootError(
             f"seed {a0} is singular mod {q}: no unique lift exists"
@@ -148,9 +135,9 @@ def hensel_lift(
     if k > 1:
         a = hensel_step(IntPoly(stages[1][1]), a, 1, prime)
         s = pow(d, -1, q)
-        for (m, _, dg), (next_m, next_g, _) in zip(stages[1:], stages[2:]):
+        for (m, g), (next_m, next_g) in zip(stages[1:], stages[2:]):
             # s is g'(a)^-1 mod p^ceil(j/2); one Newton update makes it
             # exact mod p^j, which is all the step to p^J, J <= 2j, needs.
-            s = s * (2 - horner_mod(dg, a, m) * s) % m
+            s = s * (2 - horner_mod(_derivative(g), a, m) * s) % m
             a = (a - horner_mod(next_g, a, next_m) * s) % next_m
     return LiftedRoot(prime, a, k, f, target % stages[-1][0])

@@ -21,13 +21,20 @@ from .errors import NotAUnitError, NotPrimeError
 # Miller-Rabin with this witness set is deterministic for n < 3.3e24;
 # beyond that it is a strong probable-prime test.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The primes below 256, which trial division tries before Miller-Rabin.
+_SMALL_PRIMES = _MR_WITNESSES + (
+    41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109,
+    113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191,
+    193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251,
+)
 
 
 def is_prime(n: int) -> bool:
-    """Primality test: trial division by small primes, then Miller-Rabin."""
+    """Primality test: trial division by the primes below 256, then
+    Miller-Rabin."""
     if n < 2:
         return False
-    for q in _MR_WITNESSES:
+    for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
     return all(_miller_rabin_round(n, a) for a in _MR_WITNESSES)
@@ -93,13 +100,15 @@ class Prime(Frozen):
         return f"Prime({self.p})"
 
 
-@lru_cache(maxsize=None)
+# far above the primes a workload cycles through: step_largep's use 160
+@lru_cache(maxsize=4096)
 def _verified_prime(p: int) -> Prime:
     return Prime(p)
 
 
 def as_prime(p: Union[int, Prime]) -> Prime:
-    """Coerce an int to a verified Prime (cached); pass Primes through."""
+    """Coerce an int to a verified Prime (the last 4096 are cached); pass
+    Primes through."""
     if isinstance(p, Prime):
         return p
     return _verified_prime(int(p))

@@ -117,12 +117,12 @@ def _excess(f: IntPoly, bits: int) -> int:
 def _newton(f: IntPoly, p: int, k: int) -> int:
     """hensel_lift to p^k on coefficients already below p^k.
 
-    Building g = f - t and g' and cutting them mod p^k costs about 17 us,
-    and 3 us and a pass over two coefficients of p^k per coefficient; the
-    step to p^2 about 35 us.  Each Newton stage, at the halvings k,
-    ceil(k/2), ..., 2 of k, costs about 5 us, one _int_op at its own
-    precision per multiply of Horner's rule on g, and 5/8 of one more for
-    g' and for cutting g and g' from the precision above.
+    Building g = f - t and cutting it mod p^k costs about 17 us, and 3 us
+    and a pass over two coefficients of p^k per coefficient; the step to
+    p^2 about 35 us.  Each Newton stage, at the halvings k, ceil(k/2),
+    ..., 2 of k, costs about 5 us, one _int_op at its own precision per
+    multiply of Horner's rule on g, and 5/8 of one more for reading g'
+    off the cut below it and for cutting g from the precision above.
     """
     bits = p.bit_length()
     steps = 1700 + (f.degree + 1) * (300 + (k * bits // 30 + 10) // 2)
@@ -137,18 +137,16 @@ def _newton(f: IntPoly, p: int, k: int) -> int:
 
 
 def lift(f: IntPoly, p: int, k: int) -> int:
-    """hensel_lift to p^k: g = f - t and g' cut mod p^k from f's
-    coefficients as given, then the Newton stages on the cut ones."""
+    """hensel_lift to p^k: g = f - t cut mod p^k from f's coefficients
+    as given (charged twice, as fitted), then the Newton stages."""
     return 2 * _excess(f, k * p.bit_length()) + _newton(f, p, k)
 
 
 def preimages(f: IntPoly, p: int, k: int) -> int:
-    # a root finding, f cut mod p^k once, then a lift of each of at most
-    # min(d, p) roots on the cut coefficients
-    return (
-        roots(f, p)
-        + _excess(f, k * p.bit_length())
-        + min(f.degree, p) * _newton(f, p, k)
+    # a root finding, then a lift of each of at most min(d, p) roots,
+    # each of which cuts f's coefficients mod p^k itself
+    return roots(f, p) + min(f.degree, p) * (
+        _excess(f, k * p.bit_length()) + _newton(f, p, k)
     )
 
 

@@ -305,16 +305,17 @@ class TestParserLimits:
             assert payload["error"]["type"] == "PolyParseError"
 
 
-def composite_no_witness_divides():
-    """41 (2^2994 + j), j the least odd number that leaves it coprime to
-    the witnesses 2 to 37: its primality test is over the work limit,
-    and one round of the test is within it."""
-    from padicdyn.padic import _MR_WITNESSES
+def composite_no_witness_divides(factor=41):
+    """factor (2^2994 + j), j the least odd number that leaves it coprime
+    to the primes below factor: its primality test is over the work
+    limit, and one round of the test is within it."""
+    from padicdyn.padic import _MR_WITNESSES, _SMALL_PRIMES
 
+    below = math.prod(q for q in _SMALL_PRIMES if q < factor)
     j = 1
-    while math.gcd(41 * (2**2994 + j), math.prod(_MR_WITNESSES)) != 1:
+    while math.gcd(factor * (2**2994 + j), below) != 1:
         j += 2
-    n = 41 * (2**2994 + j)
+    n = factor * (2**2994 + j)
     assert work.prime(n) > work.MAX_WORK >= work.prime(n) // len(_MR_WITNESSES)
     return n
 
@@ -365,10 +366,17 @@ class TestWorkLimits:
             (3 * 2**3000 + 3, "NotPrimeError"),
             (9, "NotPrimeError"),
             (2**3217 - 1, "BudgetExceededError"),  # prime, over the limit
-            # 903 digits: its base-2 round fits the limit and rejects it
+            # 903 digits: trial division by 41 rejects it
             (composite_no_witness_divides(), "NotPrimeError"),
+            # 904 digits, no prime below 256 divides it: its base-2 round
+            # fits the limit and rejects it
+            (composite_no_witness_divides(257), "NotPrimeError"),
+            # 4300 digits: trial division by 41 rejects it; its base-2
+            # round alone is over the limit
+            (41 * (10**4298 + 7), "NotPrimeError"),
         ],
-        ids=["2^3000", "3(2^3000+1)", "9", "2^3217-1", "41(2^2994+j)"],
+        ids=["2^3000", "3(2^3000+1)", "9", "2^3217-1", "41(2^2994+j)", "257(2^2994+j)",
+             "41(10^4298+7)"],
     )
     def test_prime_a_witness_divides_is_not_charged(self, prime, error):
         # these composites were refused as over the work limit,

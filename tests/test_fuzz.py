@@ -36,7 +36,8 @@ RUNS = 500
 INTS = [0, 1, 2, 3, 7, 9, -1, -7, 256, 257, 99991, 100003, 1000003,
         10**7, 10**9 + 7, -(10**9 + 7),
         # a prime whose primality test takes about 30 s, and a 4300-digit
-        # composite with no factor up to 37, whose test takes about 8 s
+        # composite with no factor up to 37, which trial division by 41
+        # rejects (its Miller-Rabin test would take about 8 s)
         2**9689 - 1, 41 * (10**4298 + 7)]
 PRECISIONS = [-1, 0, 1, 2, 3, 256, 257, 5000, 20000, 10**9 + 7]
 NODE_BUDGETS = [-1, 0, 1, 3, 100, 2000, 100000]

@@ -1,4 +1,5 @@
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -267,55 +268,117 @@ class TestWideCoefficients:
 
 
 class TestLadderCache:
-    """hensel._ladder keeps the cuts of the last lift: the seeds of one
-    backward step share them, and any other (g, k, p) rebuilds them."""
+    """Each lift builds its own ladder of cuts and keeps nothing: the
+    seeds of one backward step, and lifts of polynomials that agree mod
+    p, never read another lift's cuts."""
 
     def test_three_root_step_builds_its_ladder_once(self):
-        from padicdyn import backward, hensel
+        from padicdyn import backward
 
-        # a monic step with three roots lifts two of them, which share one
-        # ladder, and takes the third from the coefficient sum
+        # a monic step with three roots lifts two of them and takes the
+        # third from the coefficient sum
         f, p, k = IntPoly((1,)), 7, 12
         for r in (1, 2, 4):
             f = f * IntPoly((-r, 1))
         f += IntPoly((5 * 7**40, -3 * 7**33))
         t = f(2) + 7**20
-        hensel._ladder.cache_clear()
         lifted, singular = backward.preimages(f, t, p, k)
-        info = hensel._ladder.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
         assert len(lifted) == 3 and singular == []
         fresh = []
         for r in backward.roots_mod_p(f, t, p):
-            hensel._ladder.cache_clear()
             fresh.append(hensel_lift(f, r.residue, k, p, target=t % p**k).root)
         assert sorted(fresh) == lifted
 
     def test_alternating_lifts_never_read_a_stale_ladder(self):
-        from padicdyn import hensel
-
         # f and g agree mod 7, so a ladder of the wrong one would still
         # accept the seed 3 and lift it to a wrong root
         f, g, p = IntPoly((-2, 0, 1)), IntPoly((5, 0, 1)), 7
-        hensel._ladder.cache_clear()
         lifts = [(f, 9), (g, 9), (f, 9), (f, 4), (f, 9), (g, 4), (g, 9)]
         for poly, k in lifts:
             root = hensel_lift(poly, 3, k, p).root
             assert eval_mod(poly, root, p**k) == 0 and root % p == 3
             assert root == stepwise_ladder(poly, 3, k, p)[-1]
-        info = hensel._ladder.cache_info()
-        assert (info.misses, info.hits) == (len(lifts), 0)
 
     def test_same_difference_shares_a_ladder(self):
-        from padicdyn import hensel
-
         # f + 1 = 1 and f = 0 lift the same g = f - target
         f, p, k = IntPoly((-2, 0, 1)), 7, 9
-        hensel._ladder.cache_clear()
         a = hensel_lift(f, 3, k, p)
         b = hensel_lift(f + 1, 3, k, p, target=1)
-        assert hensel._ladder.cache_info().hits == 1
         assert a.root == b.root and (a.target, b.target) == (0, 1)
+
+    def test_two_threads_alternating_lifts_get_the_stepwise_root(self):
+        # one thread lifts f while the other lifts g, which agrees with f
+        # mod 7, and then they swap, round after round
+        f, g, p = IntPoly((-2, 0, 1)), IntPoly((5, 0, 1)), 7
+        expected = {
+            (poly, k): stepwise_ladder(poly, 3, k, p)[-1]
+            for poly in (f, g)
+            for k in (2, 4, 9, 17)
+        }
+        rounds = [(k, i % 2) for i in range(40) for k in (2, 4, 9, 17)]
+        barrier = threading.Barrier(2, timeout=10)
+        results = {0: [], 1: []}
+
+        def run(me):
+            for k, turn in rounds:
+                poly = (f, g)[me ^ turn]
+                barrier.wait()
+                results[me].append((poly, k, hensel_lift(poly, 3, k, p).root))
+
+        threads = [threading.Thread(target=run, args=(me,)) for me in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert [len(r) for r in results.values()] == [len(rounds)] * 2
+        for lifts in results.values():
+            for poly, k, root in lifts:
+                assert root == expected[poly, k]
+
+
+def digit_form_step(f, a, j, p):
+    """The step's digit form: a + t p^j with t = -(f(a)/p^j) f'(a)^-1 mod p."""
+    q = p**j
+    t = -(eval_mod(f, a, p * q) // q) * pow(eval_mod(f.derivative(), a, p), -1, p) % p
+    return (a + t * q) % (p * q)
+
+
+def planted_at_level(rng, p, j, lead):
+    """(f, a): f = (x - a) g + p^j h with a in [0, p^j) and g(a) a unit
+    mod p, so a is a nonsingular root of f mod p^j; f's leading
+    coefficient is g's, `lead`."""
+    a = rng.randrange(p**j)
+    deg = rng.randint(2, 5)
+    while True:
+        g = IntPoly(tuple(rng.randrange(-(p**j), p**j) for _ in range(deg - 1)) + (lead,))
+        if eval_mod(g, a, p):
+            break
+    h = IntPoly(tuple(rng.randrange(-(p**j), p**j) for _ in range(deg)))
+    return IntPoly((-a, 1)) * g + p**j * h, a
+
+
+def draw_lead(rng, p, kind):
+    if kind == "monic":
+        return 1
+    if kind == "divisible":
+        return p * rng.randint(1, 9)
+    c = rng.randrange(2, 10 * p)
+    return c if c % p else c + 1
+
+
+class TestStepAgainstDigitForm:
+    @pytest.mark.parametrize("p", [2, 3, 7, 2**61 - 1])
+    @pytest.mark.parametrize("kind", ["monic", "unit", "divisible"])
+    def test_newton_step_equals_the_digit_form(self, p, kind):
+        rng = random.Random(f"{p} {kind}")
+        for j in range(1, 31):
+            lead = draw_lead(rng, p, kind)
+            f, a = planted_at_level(rng, p, j, lead)
+            assert f.coeffs[-1] == lead
+            step = hensel_step(f, a, j, p)
+            assert step == digit_form_step(f, a, j, p)
+            assert step % p**j == a and eval_mod(f, step, p ** (j + 1)) == 0
 
 
 def stepwise_ladder(f, a, k, p):

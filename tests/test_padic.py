@@ -50,6 +50,21 @@ class TestPrime:
         assert as_prime(p) is p
         assert as_prime(7) == p
 
+    def test_as_prime_cache_is_bounded(self):
+        from padicdyn.padic import _verified_prime
+
+        bound = _verified_prime.cache_info().maxsize
+        sieve = bytearray([1]) * 20 * bound
+        primes = []
+        for n in range(2, len(sieve)):
+            if sieve[n]:
+                primes.append(n)
+                sieve[n * n :: n] = bytes(len(range(n * n, len(sieve), n)))
+        assert len(primes) > bound
+        for q in primes:
+            assert as_prime(q).p == q
+        assert _verified_prime.cache_info().currsize == bound
+
 
 class TestValuation:
     def test_vp_int_examples(self):
