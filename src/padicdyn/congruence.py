@@ -13,7 +13,10 @@ numpy scan when it has more than _LOOP_FACTOR_MAX residues and the
 plain loop otherwise; a smaller modulus takes the loop for every
 factor.  The plain loop reduces at every step.  The numpy scan takes
 the target into the constant term and runs Horner's rule in int64 over
-blocks of up to _BLOCK residues.  It skips the addition of a zero
+blocks of up to _BLOCK residues.  Up to degree _SHIFT_MAX_DEGREE it
+runs the rule on the offset i = x - lo from the block's start lo, with
+the coefficients of f(lo + i) mod the factor, a Taylor shift of f made
+per block; above it, on x.  It skips the addition of a zero
 coefficient and reduces mod the factor, by floor division, only before
 a step that an exact bound says could pass 2^63 - 1.  x is a hit when
 the factor divides its final value: an odd factor tests that by one
@@ -54,9 +57,10 @@ DEFAULT_ORACLE_BOUND = 10**7
 # lower cutoff, a dense f of degree 2 to 4 would lose.
 #
 # A factor q > _BLOCK is scanned in blocks of _BLOCK residues, one after
-# another, on buffers reused from block to block: x, its shift by the
-# block's start, acc and a quotient at 2^14 int64 entries, and the hit
-# mask, take 528 KiB, inside the 2 MiB L2 cache of the VM's Xeon.
+# another, on buffers reused from block to block: the offsets i, lead * i
+# (or x = lo + i above the shift's degree bound), acc and a quotient at
+# 2^14 int64 entries, and the hit mask, take 528 KiB, inside the 2 MiB L2
+# cache of the VM's Xeon.
 # On the oracle_scan inputs of seed 1 (factors up to 2^19, degree 2 to
 # 4, each call followed by its check as in the benchmark), the 95th
 # percentile call took 2.3 to 2.4 ms as one block, and in blocks of 2^13,
@@ -68,6 +72,29 @@ DEFAULT_ORACLE_BOUND = 10**7
 # glibc gave them back to the kernel when the call freed them: the 5 %
 # slowest oracle_scan calls then took 36 to 50 minor page faults each,
 # whose cost moves with the host's load, and none once they were kept.
+#
+# Up to degree _SHIFT_MAX_DEGREE each block after the first, starting at
+# lo, runs Horner's rule on its offset i in [0, 2^14), with the
+# coefficients of f(lo + i) mod q from a Taylor shift in Python,
+# d(d + 1) / 2 multiply-adds (von zur Gathen and Gerhard, ISSAC 1997).
+# lead * i is the same in every such block, so it is made once per call,
+# into the buffer that holds lo + i on x, and a block starts with one
+# add where it took a shift, a multiply and an add.  A step multiplies
+# by at most 2^14 - 1 instead of q - 1, so the exact bound asks for
+# fewer reductions: with a lead below 10 and q below 2^20, as in
+# oracle_scan, a degree-4 scan no longer reduces at all.  A block then
+# takes 5, 7 and 9 passes at degree 2, 3 and 4, against 7, 9 and 14 on
+# x at the factors oracle_scan scans.  Whole scans with such a lead (best of 21 runs of 5, alternating in
+# one process) took 537, 704 and 867 us at q = 262139 and degree 2, 3
+# and 4, and 712, 937 and 1154 us at 347227, against 668, 825, 1389 and
+# 886, 1096, 1850 us on x.  Above the bound the shift's O(d^2) Python
+# and the dense f it makes of a sparse one cost more than they save, and
+# every block runs on x.  Shifted over on x, the same f alternating in
+# one process: a dense f at q = 196613, 347227 and 2^19 + 21 took 0.75
+# to 0.93 of the time at degree 2 to 12 and 0.84 to 0.94 at 14 to 64,
+# and x^e - x, x^e + 1 and three-term f at q = 196613 took 0.70 to 0.99
+# at degree 3 to 12 (1.08 at x^5 - x), but 0.93 to 1.03 at 14 to 32 and
+# 1.18 at x^100 - x.
 #
 # Mid-scan the scan reduces as acc - (acc // q) * q; numpy divides int64
 # by a scalar through libdivide.  The target is taken into the constant
@@ -87,6 +114,7 @@ _VECTOR_MIN = 2**16
 _VECTOR_MAX = 2**31
 _BLOCK = 2**14
 _LOOP_FACTOR_MAX = 32
+_SHIFT_MAX_DEGREE = 12
 # The numpy CRT join costs about 50 us for its calls on a few factors,
 # the plain one about 0.4 us per solution: they are level at 200 to 300
 # solutions (64 us against 27 us at 64, 150 us against 290 us at 648).
@@ -168,48 +196,67 @@ _INT64_MAX = 2**63 - 1
 
 
 def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
-    # Horner over each block of x at once, in place, reducing mod m only
-    # where a step could overflow int64.  The target is taken into the
-    # constant term, as (c_0 - target) mod m, so x is a hit exactly when
-    # m divides its final acc, as the comment above _VECTOR_MIN explains.
-    # Coefficients are in [0, m) and 0 <= x < m, so acc never goes
-    # negative and `bound`, an exact upper bound on its entries, decides
-    # before which steps to reduce; the same steps serve every block.
+    # Horner over each block at once, in place, reducing mod m only where
+    # a step could overflow int64.  The target is taken into the constant
+    # term, as (c_0 - target) mod m, so x is a hit exactly when m divides
+    # its final acc, as the comment above _VECTOR_MIN explains.  Up to
+    # degree _SHIFT_MAX_DEGREE each block after the first runs the rule on
+    # its offset i = x - lo < size, with the coefficients of f(lo + i)
+    # mod m, and starts from lead * i, the same in every such block; the
+    # first block, where i = x, and every block above that degree run it
+    # on x with f's own coefficients.  The rule reads values in [0, top]
+    # and coefficients in [0, m), so acc never goes negative and `bound`,
+    # an exact upper bound on its entries, decides before which steps to
+    # reduce; the same steps serve every block.
     import numpy as np
 
     coeffs = [((coeffs[0] if coeffs else 0) - target) % m, *coeffs[1:]]
     lead = coeffs[-1]
-    steps = []
+    size = min(m, _BLOCK)
+    shift = len(coeffs) - 1 <= _SHIFT_MAX_DEGREE
+    top = size - 1 if shift else m - 1
+    wide = []
     bound = lead
     for c in reversed(coeffs[:-1]):
+        # a shifted block's coefficients can be anything below m
+        c = m - 1 if shift else c
         # Overflow invariant: after a reduction acc <= m - 1, and the step
-        # after it reaches at most (m - 1)^2 + (m - 1) < m^2 <= 2^62 for
-        # m <= _VECTOR_MAX = 2^31, so a step that follows one always fits.
-        wide = bound * (m - 1) + c > _INT64_MAX
-        if wide:
+        # after it reaches at most (m - 1) * top + (m - 1) < m^2 <= 2^62
+        # for m <= _VECTOR_MAX = 2^31, so a step that follows one always
+        # fits.
+        wide.append(bound * top + c > _INT64_MAX)
+        if wide[-1]:
             bound = m - 1
-        steps.append((wide, c))
-        bound = bound * (m - 1) + c
+        bound = bound * top + c
     odd = m % 2 == 1
     if odd:
         inverse = np.uint64(pow(m, -1, 2**64))
         limit = np.uint64((2**64 - 1) // m)
-    size = min(m, _BLOCK)
-    base, shifted, acc, quot, found = (b[:size] for b in _block_buffers(np))
+    base, second, acc, quot, found = (b[:size] for b in _block_buffers(np))
     hits = []
     for lo in range(0, m, size):
         if lo + size > m:
-            base, shifted, acc, quot, found = (
-                b[: m - lo] for b in (base, shifted, acc, quot, found))
-        xs = np.add(base, lo, out=shifted) if lo else base
-        if steps:  # the first step never overflows: lead * (m - 1) + c < m^2
-            np.multiply(xs, lead, out=acc)
-            if steps[0][1]:
-                acc += steps[0][1]
+            base, second, acc, quot, found = (
+                b[: m - lo] for b in (base, second, acc, quot, found))
+        if not lo:  # x = i, and f's own coefficients
+            xs, terms = base, coeffs
+        elif shift:
+            xs, terms = base, _taylor_shift(coeffs, lo, m)
         else:
+            xs, terms = np.add(base, lo, out=second), coeffs
+        # the first step never overflows: lead * top + c < m^2 <= 2^62
+        if len(terms) == 1:
             acc.fill(lead)
-        for wide, c in steps[1:]:
-            if wide:
+        elif lo and shift:
+            if lo == size:  # lead * i, kept for every later block
+                np.multiply(base, lead, out=second)
+            np.add(second, terms[-2], out=acc)
+        else:
+            np.multiply(xs, lead, out=acc)
+            if terms[-2]:
+                acc += terms[-2]
+        for reduce, c in zip(wide[1:], terms[-3::-1]):
+            if reduce:
                 np.floor_divide(acc, m, out=quot)
                 np.multiply(quot, m, out=quot)
                 acc -= quot
@@ -227,6 +274,17 @@ def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
             np.equal(acc, quot, out=found)
         hits += (np.flatnonzero(found) + lo).tolist()
     return hits
+
+
+def _taylor_shift(coeffs: list[int], a: int, m: int) -> list[int]:
+    """The coefficients of f(a + y) mod m, lowest first, from f's: Horner's
+    rule on polynomials, d(d + 1) / 2 multiply-adds for degree d (von zur
+    Gathen and Gerhard, ISSAC 1997)."""
+    t = list(coeffs)
+    for i in range(len(t) - 1):
+        for j in range(len(t) - 2, i - 1, -1):
+            t[j] = (t[j] + a * t[j + 1]) % m
+    return t
 
 
 def _block_buffers(np):
@@ -305,7 +363,10 @@ def solve_congruence_bruteforce(
     residue sets are joined by CRT.  From m = 2^16 a factor of more than
     32 residues is scanned with numpy and a smaller one with the plain
     loop, which beats numpy's fixed cost per call there; below 2^16
-    every factor takes the loop.  Any modulus >= 2 is accepted up to
+    every factor takes the loop.  The numpy scan runs Horner's rule over
+    blocks of 2^14 residues; up to degree 12 each block after the first
+    evaluates f shifted to the block's start at the offsets from it,
+    which keeps its values narrow.  Any modulus >= 2 is accepted up to
     `bound` (default 10^7), which keeps exhaustion tractable.  More than
     `max_solutions` solutions, when it is given, are refused before they
     are joined: the zero polynomial has m of them.

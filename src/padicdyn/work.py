@@ -16,12 +16,18 @@ and rounded up, so that it is at or above the measured time.  Over
 11.8x its time, 1.7x in the median.  It is within 3x for all but 104 of
 them: chiefly f of degree 1 to 3 with small coefficients at large p^k,
 where Horner's rule multiplies by a narrow lead, and short lifts of
-2^14-bit coefficients.  Over 722 timed root findings (primes of 2 to
+2^14-bit coefficients.  Since the cut of f is charged once, as the lift
+makes it, 98 lifts of 2^14- to 2^20-bit coefficients (primes of 2 to
+127 bits, k up to 150, degree 1 and 4) are 1.7x to 4.4x their time.
+Over 722 timed root findings (primes of 2 to
 255 bits, degree 1 to 160) roots is 1.0x to 5.2x its time when all
 min(d, p) roots are there, and up to 32x when few are, as the count is
 not known before the call; a quadratic, now solved by formula, 7.7x or
-more.  The oracle's scan is 1.4x to 3.5x its time,
-and a --prime's primality test, charged before it runs, 1.1x to 4x.
+more.  Over 171 timed oracle scans (moduli of 10^3 to 10^7, degree 1
+to 24, a root planted, the CRT join left out as it is charged per
+solution) oracle is 1.7x to 3.8x their time where the plain loop scans
+and 3.6x to 21x, 9.9x in the median, where numpy does.  A --prime's
+primality test, charged before it runs, is 1.1x to 4x its time.
 """
 
 from __future__ import annotations
@@ -137,9 +143,9 @@ def _newton(f: IntPoly, p: int, k: int) -> int:
 
 
 def lift(f: IntPoly, p: int, k: int) -> int:
-    """hensel_lift to p^k: g = f - t cut mod p^k from f's coefficients
-    as given (charged twice, as fitted), then the Newton stages."""
-    return 2 * _excess(f, k * p.bit_length()) + _newton(f, p, k)
+    """hensel_lift to p^k: g = f - t cut mod p^k once from f's
+    coefficients as given, then the Newton stages."""
+    return _excess(f, k * p.bit_length()) + _newton(f, p, k)
 
 
 def preimages(f: IntPoly, p: int, k: int) -> int:
@@ -177,7 +183,11 @@ def oracle(f: IntPoly, m: int) -> int:
     in cache-sized blocks, which made those scans faster; they are not
     lowered for it, so the estimate stays an upper bound.  The numpy scan
     also skips the addition of a zero coefficient, which the estimate
-    still charges, so it over-charges a sparse f, which is safe."""
+    still charges, so it over-charges a sparse f, which is safe.  Up to
+    degree _SHIFT_MAX_DEGREE each block also takes a Taylor shift of f in
+    Python, d(d + 1) / 2 multiply-adds of about 0.1 us, under 0.7 us per
+    coefficient at that degree: the 4 us a block is charged per
+    coefficient covers it with its numpy calls."""
     terms = max(f.degree + 1, 1)
     factors = _prime_power_factors(m)
     vectorized = [q for q in factors if _numpy_scans(q, m)]

@@ -481,6 +481,37 @@ class TestWorkLimits:
         )
         assert elapsed <= work.oracle(f, m) * 1e-8
 
+    def test_oracle_scan_at_the_shift_degree_bound_ends_within_its_estimate(self):
+        # a dense f of the highest degree whose blocks are Taylor-shifted,
+        # over the largest prime below 10^7: 611 blocks of 2^14 residues,
+        # each with its d(d + 1) / 2 multiply-adds of the shift
+        d, p = congruence._SHIFT_MAX_DEGREE, 9999991
+        rng = random.Random(d)
+        f = IntPoly(tuple(rng.randrange(p) for _ in range(d + 1)))
+        congruence.solve_congruence_bruteforce(IntPoly((0, 1)), 0, 2**16 + 1)  # numpy
+        elapsed = min(
+            timed(congruence.solve_congruence_bruteforce, f, 0, p) for _ in range(2)
+        )
+        assert elapsed <= work.oracle(f, p) * 1e-8
+
+    @pytest.mark.parametrize("k", [100, 150])
+    def test_lift_of_wide_coefficients_ends_within_its_estimate(self, k):
+        # five 2^19-bit coefficients at p = 2^127 - 1: the cut of f mod p^k
+        # is most of the lift, and hensel_lift makes it once (0.05 s at
+        # k = 100 on a 2-vCPU x86 VM against 0.10 s charged, 0.20 s when
+        # the cut was charged twice)
+        p = 2**127 - 1
+        rng = random.Random(k)
+        coeffs = [rng.getrandbits(2**19) | 2**(2**19 - 1) for _ in range(5)]
+        coeffs[0] -= sum(coeffs) % p  # so 1 is a root mod p
+        f = IntPoly(tuple(coeffs))
+        estimate = work.lift(f, p, k)
+        assert estimate == work._excess(f, k * p.bit_length()) + work._newton(f, p, k)
+        lifted = padicdyn.hensel_lift(f, 1, k, p)
+        assert lifted.root % p == 1 and padicdyn.eval_mod(f, lifted.root, p**k) == 0
+        elapsed = min(timed(padicdyn.hensel_lift, f, 1, k, p) for _ in range(2))
+        assert elapsed <= estimate * 1e-8
+
     def test_oracle_at_the_solution_cap_ends_within_the_limit(self, capsys):
         # every residue solves the zero polynomial, so all of them are
         # joined and printed (0.4-0.6 s against 1 s on a 2-vCPU x86 VM,

@@ -175,13 +175,53 @@ class TestBruteForceOracle:
             f = f * IntPoly((-r, 1))
         assert f.coeffs[-1] % q == q - 1
         # over the field F_q a product of distinct linear factors has
-        # exactly their roots.  q spans 128 blocks, the roots falling in
-        # the last, or one block of q residues; both reduce mid-scan by
-        # floor division and test their hits by divisibility.
+        # exactly their roots.  The bound above is that of one block of q
+        # residues, where the scan runs on i = x with f's own coefficients
+        # (lo = 0).  At the default block q spans 128 blocks, the roots
+        # falling in the last, and the scan runs on the offset i < 2^14
+        # with that block's Taylor coefficients, whose bound
+        # test_shifted_bound_at_the_default_block pins.  Both reduce
+        # mid-scan by floor division and test their hits by divisibility.
         assert q > 100 * congruence._BLOCK
         assert solve_congruence_bruteforce(f, 0, q) == sorted(roots)
         monkeypatch.setattr(congruence, "_BLOCK", q)
         assert solve_congruence_bruteforce(f, 0, q) == sorted(roots)
+
+    @pytest.mark.parametrize("q, reductions", [(2**21 + 249, 0), (2**21 + 269, 1)])
+    def test_shifted_bound_at_the_default_block(self, q, reductions, monkeypatch):
+        # Both are primes.  A degree-3 scan whose lead is q - 1 runs on the
+        # offset i < s = 2^14 of each block, and its last step is bounded
+        # by (q - 1)(s^3 - 2 s^2 + 2 s): below 2^63 for the first, which
+        # never reduces, and above it for the second, which reduces once
+        # per block, before that step.  The values are widest at i near
+        # s - 1, so roots are planted at the ends of blocks.
+        import numpy as np
+
+        s = congruence._BLOCK
+        assert s == 2**14 and as_prime(q).p == q
+        assert ((q - 1) * (s**3 - 2 * s**2 + 2 * s) < 2**63) == (reductions == 0)
+        roots = [s - 1, 2 * s - 1, q - 1]
+        f = IntPoly((q - 1,))
+        for r in roots:
+            f = f * IntPoly((-r, 1))
+        coeffs = [c % q for c in f.coeffs]
+        assert coeffs[-1] == q - 1
+        divisions = []
+        floor_divide = np.floor_divide
+
+        def counting(*args, **kwargs):
+            divisions.append(args[1])
+            return floor_divide(*args, **kwargs)
+
+        monkeypatch.setattr(np, "floor_divide", counting)
+        # over F_q a product of distinct linear factors has exactly their
+        # roots; (q - 1) x^3 has zero coefficients, but those of its blocks
+        # past the first are not, so the bound is the same
+        assert congruence._bruteforce_vectorized(coeffs, 0, q) == roots
+        assert congruence._bruteforce_vectorized([0, 0, 0, q - 1], 0, q) == [0]
+        # an odd q tests its hits by multiplication, so each division is a
+        # mid-scan reduction
+        assert divisions == [q] * reductions * -(-q // s) * 2
 
     @pytest.mark.parametrize("q", [509, 521])
     def test_mid_scan_reduction_at_a_factor_below_2_10(self, q):
@@ -428,6 +468,86 @@ class TestBlockedScan:
         assert got == expected
 
 
+class TestShiftedScan:
+    """Up to degree _SHIFT_MAX_DEGREE the numpy scan runs Horner's rule on
+    the offset i = x - lo of each block, with the coefficients of
+    f(lo + i) mod q; above it, on x itself."""
+
+    def test_taylor_shift_is_the_binomial_expansion(self):
+        rng = random.Random(127)
+        for m in (2, 7, 4096, 2**31 - 1):
+            for degree in range(congruence._SHIFT_MAX_DEGREE + 2):
+                coeffs = [rng.randrange(m) for _ in range(degree + 1)]
+                for a in (0, 1, rng.randrange(m), m - 1):
+                    expected = [
+                        sum(c * math.comb(k, j) * a ** (k - j)
+                            for k, c in enumerate(coeffs) if k >= j) % m
+                        for j in range(degree + 1)
+                    ]
+                    assert congruence._taylor_shift(coeffs, a, m) == expected
+
+    def test_blocks_are_shifted_up_to_the_degree_bound(self, monkeypatch):
+        starts = []
+        shift = congruence._taylor_shift
+
+        def recording(coeffs, a, m):
+            starts.append(a)
+            return shift(coeffs, a, m)
+
+        monkeypatch.setattr(congruence, "_taylor_shift", recording)
+        block, bound = congruence._BLOCK, congruence._SHIFT_MAX_DEGREE
+        q = 3 * block + 7
+        for degree, shifted in ((0, True), (bound, True), (bound + 1, False)):
+            starts.clear()
+            congruence._bruteforce_vectorized([1] * (degree + 1), 0, q)
+            # the first block, at lo = 0, is scanned with f's own coefficients
+            assert starts == ([block, 2 * block, 3 * block] if shifted else [])
+
+    @pytest.mark.parametrize("q", [4999, 5000, 3**8])
+    def test_matches_the_loop_at_every_degree_over_many_blocks(self, q, monkeypatch):
+        # blocks of 997 residues: 6 or 7 of them, the last one short.  The
+        # prime 4999 and 3^8 test their hits by their inverse mod 2^64,
+        # 5000 by floor division.  Each f is scanned with no block shifted,
+        # with every block shifted, and with the degree bound as it is, to
+        # one degree past the bound.
+        monkeypatch.setattr(congruence, "_BLOCK", 997)
+        default = congruence._SHIFT_MAX_DEGREE
+        rng = random.Random(131 + q)
+        edges = sorted({0, q - 1} | {c + d for c in range(997, q, 997) for d in (-1, 0)})
+        for degree in range(congruence._SHIFT_MAX_DEGREE + 2):
+            # on both sides of block boundaries, as many as there are room for
+            roots = rng.sample(edges, min(degree, len(edges)))
+            roots += [rng.randrange(q) for _ in range(degree - len(roots))]
+            polys = [
+                planted(rng, q, roots),
+                [rng.randrange(q - 8, q) for _ in range(degree + 1)],  # near q
+                [q - 1] * (degree + 1),
+                # a lead that reduces to 0 mod q, as q x^d + ... does
+                [rng.randrange(q) for _ in range(degree)] + [0],
+            ]
+            for coeffs in polys:
+                r = rng.choice(edges)
+                value = sum(c * r**i for i, c in enumerate(coeffs)) % q
+                for target in (value, 0):
+                    expected = congruence._bruteforce_python(coeffs, target, q)
+                    assert r in expected or target != value
+                    for bound in (-1, 10**9, default):
+                        monkeypatch.setattr(congruence, "_SHIFT_MAX_DEGREE", bound)
+                        got = congruence._bruteforce_vectorized(coeffs, target, q)
+                        assert got == expected
+            assert set(roots) <= set(
+                congruence._bruteforce_vectorized(polys[0], 0, q))
+
+    def test_lead_divisible_by_the_factor_through_the_oracle(self):
+        # 5^7 x^3 + x - 4 over 2 * 5^7 >= 2^16: the factor 5^7 scans x - 4
+        # padded with two zeros, and 2 takes the loop
+        m = 2 * 5**7
+        f = IntPoly((-4, 1, 0, 5**7))
+        assert congruence._numpy_scans(5**7, m)
+        assert solve_congruence_bruteforce(f, 0, m) == exhaustive_roots(f, 0, m) == [
+            4, 4 + 5**7]
+
+
 class TestScannerPerFactor:
     @pytest.mark.parametrize("q", [
         congruence._LOOP_FACTOR_MAX, congruence._LOOP_FACTOR_MAX + 1,
@@ -491,12 +611,15 @@ class TestScannerPerFactor:
                 assert got == congruence._bruteforce_python(coeffs, c, q)
                 assert c != value or r in got
 
-    def test_divisibility_at_the_top_of_int64(self):
-        # A degree-4 scan at the prime q = 2^21 - 9 with lead q - 1 reduces
-        # once, before its third step, and its last step then reaches up to
-        # (q - 1)^3 + (q - 1)^2 + (q - 1), within 2^-16 of 2^63 - 1.  The
-        # constant, after the target is taken into it, is q - 1 too, so the
-        # final values are the widest the divisibility test reads.
+    def test_divisibility_at_the_top_of_int64(self, monkeypatch):
+        # A degree-4 scan at the prime q = 2^21 - 9 with lead q - 1, in one
+        # block of q residues, so that it runs on i = x with f's own
+        # coefficients, reduces once, before its third step, and its last
+        # step then reaches up to (q - 1)^3 + (q - 1)^2 + (q - 1), within
+        # 2^-16 of 2^63 - 1.  The constant, after the target is taken into
+        # it, is q - 1 too, so the final values are the widest the
+        # divisibility test reads.  At the default block the scan runs on
+        # the offset i < 2^14 and stays further below 2^63.
         q = 2**21 - 9
         top = (q - 1) ** 3 + (q - 1) ** 2 + q - 1
         assert 2**63 - 2**47 < top < 2**63 <= (q - 1) ** 4
@@ -511,9 +634,11 @@ class TestScannerPerFactor:
         assert coeffs[0] == coeffs[-1] == q - 1
         # over F_q a product of distinct linear factors has exactly their
         # roots; f = q - 1 at target q - 1 folds to the same constant
-        assert congruence._bruteforce_vectorized(coeffs, 0, q) == sorted(roots)
-        shifted = [q - 2, *coeffs[1:]]
-        assert congruence._bruteforce_vectorized(shifted, q - 1, q) == sorted(roots)
+        folded = [q - 2, *coeffs[1:]]
+        for block in (q, congruence._BLOCK):
+            monkeypatch.setattr(congruence, "_BLOCK", block)
+            assert congruence._bruteforce_vectorized(coeffs, 0, q) == sorted(roots)
+            assert congruence._bruteforce_vectorized(folded, q - 1, q) == sorted(roots)
 
     @pytest.mark.parametrize("q", [37, 1031, 3**7, 2**11])
     def test_sparse_polynomials_match_the_loop(self, q):
