@@ -19,9 +19,13 @@ the coefficients of f(lo + i) mod the factor, a Taylor shift of f made
 per block; above it, on x.  It skips the addition of a zero
 coefficient and reduces mod the factor, by floor division, only before
 a step that an exact bound says could pass 2^63 - 1.  x is a hit when
-the factor divides its final value: an odd factor tests that by one
-multiplication mod 2^64 and one comparison, an even one by one floor
-division.
+the factor q divides its final value n.  An odd q runs the rule, from
+its last reduction on, on its coefficients times q^-1 mod 2^64, so the
+block ends on n * q^-1 mod 2^64, which is at most (2^64 - 1) // q
+exactly at the hits; a block of a factor of more than one block whose
+least value is above that holds none and builds no hit mask, so a
+shifted block without a hit takes 4, 6 and 8 passes at degree 2, 3 and
+4.  An even q tests its hits by one floor division.
 """
 
 from __future__ import annotations
@@ -83,33 +87,52 @@ DEFAULT_ORACLE_BOUND = 10**7
 # by at most 2^14 - 1 instead of q - 1, so the exact bound asks for
 # fewer reductions: with a lead below 10 and q below 2^20, as in
 # oracle_scan, a degree-4 scan no longer reduces at all.  A block then
-# takes 5, 7 and 9 passes at degree 2, 3 and 4, against 7, 9 and 14 on
-# x at the factors oracle_scan scans.  Whole scans with such a lead (best of 21 runs of 5, alternating in
-# one process) took 537, 704 and 867 us at q = 262139 and degree 2, 3
-# and 4, and 712, 937 and 1154 us at 347227, against 668, 825, 1389 and
-# 886, 1096, 1850 us on x.  Above the bound the shift's O(d^2) Python
-# and the dense f it makes of a sparse one cost more than they save, and
-# every block runs on x.  Shifted over on x, the same f alternating in
-# one process: a dense f at q = 196613, 347227 and 2^19 + 21 took 0.75
-# to 0.93 of the time at degree 2 to 12 and 0.84 to 0.94 at 14 to 64,
-# and x^e - x, x^e + 1 and three-term f at q = 196613 took 0.70 to 0.99
-# at degree 3 to 12 (1.08 at x^5 - x), but 0.93 to 1.03 at 14 to 32 and
-# 1.18 at x^100 - x.
+# took 5, 7 and 9 passes at degree 2, 3 and 4, against 7, 9 and 14 on
+# x at the factors oracle_scan scans (4, 6 and 8 with the hit test
+# below).  Whole scans with such a lead (best of 21 runs of 5,
+# alternating in one process, before that hit test) took 537, 704 and
+# 867 us at q = 262139 and degree 2, 3 and 4, and 712, 937 and 1154 us
+# at 347227, against 668, 825, 1389 and 886, 1096, 1850 us on x.  Above
+# the bound the shift's O(d^2) Python and the dense f it makes of a
+# sparse one cost more than they save, and every block runs on x.
+# Shifted over on x, the same f alternating in one process: a dense f
+# at q = 196613, 347227 and 2^19 + 21 took 0.75 to 0.93 of the time at
+# degree 2 to 12 and 0.84 to 0.94 at 14 to 64, and x^e - x, x^e + 1 and
+# three-term f at q = 196613 took 0.70 to 0.99 at degree 3 to 12 (1.08
+# at x^5 - x), but 0.93 to 1.03 at 14 to 32 and 1.18 at x^100 - x.
 #
 # Mid-scan the scan reduces as acc - (acc // q) * q; numpy divides int64
 # by a scalar through libdivide.  The target is taken into the constant
 # term, as (c_0 - target) mod q, so x is a hit exactly when q divides
-# the final acc, which the bound keeps in [0, 2^63).  For odd q,
+# the final value n, which the bound keeps in [0, 2^63).  For odd q,
 # n -> n * q^-1 mod 2^64 permutes [0, 2^64) and takes k * q to k, so it
 # sends the multiples of q below 2^64 onto [0, (2^64 - 1) // q] and
 # every other n above it (Granlund and Montgomery, PLDI 1994; Lemire,
-# Kaser and Kurz, SPE 49(6), 2019).  The test is two passes, an
-# in-place multiply of acc read as uint64 and a comparison.  Whole scans
-# (best of 21 runs of 5 in one process) took 243, 292 and 482 us at
-# q = 65521 and degree 2, 3 and 4, and 777, 1495 and 2278 us at 262139,
-# against 344, 397, 545 and 1125, 1793, 2617 us with a last reduction
-# and a comparison with the target, four passes.  An even q has no
-# inverse mod 2^64: x is a hit there when acc == (acc // q) * q.
+# Kaser and Kurz, SPE 49(6), 2019).  Reduction mod 2^64 commutes with
+# Horner's rule, so the scan makes n * q^-1 with no pass of its own:
+# from the last reduction on (from the first step, if there is none) it
+# runs the rule on the coefficients times q^-1 mod 2^64, lead * i
+# included when it is made once per call, in numpy's int64 arithmetic,
+# which wraps mod 2^64.  The last reduction takes (acc mod q) * q^-1 as
+# acc * q^-1 - acc // q, in as many passes as acc - (acc // q) * q.  The
+# constant also carries 2^63, so acc ends on n * q^-1 - 2^63 read as an
+# int64, which orders the values as uint64 would.  A factor of more than
+# one block holds its solutions in a few of its blocks at most (a prime
+# one has at most d of them), so each block takes its min() first, and
+# only a block whose min() is at most the limit builds the hit mask and
+# its index list.  A shifted block without a solution then takes 4, 6
+# and 8 passes at degree 2, 3 and 4, against 5, 7 and 9 and a mask, its
+# nonzero() and a list before.  At q = 347227 with a lead below 10 (best
+# of 21 runs of 5, alternating in one process, in two processes) a block
+# took 23, 32 to 33 and 42 to 44 us at degree 2, 3 and 4, against 33 to
+# 34, 43 to 44 and 53 to 54 us when it multiplied acc by q^-1 (5.0 us),
+# built the mask (5.8 to 6.8 us) and listed its hits (2.8 to 3.3 us) in
+# every block; the min() takes 2.7 to 3.2 us.  A factor of one block
+# builds its mask with no min() first, as in oracle_scan every factor
+# holds a solution, and takes the scaled coefficients too: the
+# oracle_scan calls whose factors all fit one block took 0.96 to 1.00 of
+# the time in process.  An even q has no inverse mod 2^64: x is a hit
+# there when acc == (acc // q) * q.
 _VECTOR_MIN = 2**16
 _VECTOR_MAX = 2**31
 _BLOCK = 2**14
@@ -197,17 +220,24 @@ _INT64_MAX = 2**63 - 1
 
 def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
     # Horner over each block at once, in place, reducing mod m only where
-    # a step could overflow int64.  The target is taken into the constant
+    # a step could pass 2^63 - 1.  The target is taken into the constant
     # term, as (c_0 - target) mod m, so x is a hit exactly when m divides
-    # its final acc, as the comment above _VECTOR_MIN explains.  Up to
+    # its final value n, as the comment above _VECTOR_MIN explains.  Up to
     # degree _SHIFT_MAX_DEGREE each block after the first runs the rule on
     # its offset i = x - lo < size, with the coefficients of f(lo + i)
     # mod m, and starts from lead * i, the same in every such block; the
     # first block, where i = x, and every block above that degree run it
     # on x with f's own coefficients.  The rule reads values in [0, top]
-    # and coefficients in [0, m), so acc never goes negative and `bound`,
-    # an exact upper bound on its entries, decides before which steps to
-    # reduce; the same steps serve every block.
+    # and coefficients in [0, m), so `bound`, an exact upper bound on n
+    # and on every value before it, decides before which steps to reduce;
+    # the same steps serve every block.  For odd m the steps from the last
+    # reduction on (from the first, if there is none) add coefficients
+    # times m^-1 mod 2^64, and that reduction leaves (acc mod m) * m^-1,
+    # so acc ends, wrapping mod 2^64 as int64, on n * m^-1 - 2^63, the
+    # 2^63 carried by the constant: a hit when it is at most `limit`.  A
+    # block of an m of more than one block whose min() is above `limit`
+    # holds no hit and builds no mask: a shifted block without a hit takes
+    # 2d - 1 passes of the rule and the min(), 4, 6 and 8 at degree 2, 3, 4.
     import numpy as np
 
     coeffs = [((coeffs[0] if coeffs else 0) - target) % m, *coeffs[1:]]
@@ -216,6 +246,7 @@ def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
     shift = len(coeffs) - 1 <= _SHIFT_MAX_DEGREE
     top = size - 1 if shift else m - 1
     wide = []
+    last = -1  # the step of the last reduction
     bound = lead
     for c in reversed(coeffs[:-1]):
         # a shifted block's coefficients can be anything below m
@@ -224,14 +255,24 @@ def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
         # after it reaches at most (m - 1) * top + (m - 1) < m^2 <= 2^62
         # for m <= _VECTOR_MAX = 2^31, so a step that follows one always
         # fits.
-        wide.append(bound * top + c > _INT64_MAX)
-        if wide[-1]:
+        reduce = bound * top + c > _INT64_MAX
+        if reduce:
+            last = len(wide)
             bound = m - 1
+        wide.append(reduce)
         bound = bound * top + c
     odd = m % 2 == 1
+    own = coeffs
     if odd:
-        inverse = np.uint64(pow(m, -1, 2**64))
-        limit = np.uint64((2**64 - 1) // m)
+        # m^-1 mod 2^64 as an int64; acc ends on n * m^-1 - 2^63 mod 2^64
+        inverse = (pow(m, -1, 2**64) + 2**63) % 2**64 - 2**63
+        limit = (2**64 - 1) // m - 2**63
+        # step j adds the coefficient of x^(d - 1 - j), so the steps from
+        # the last reduction on add the first `cut` coefficients
+        cut = len(coeffs) - 1 - last
+        if last >= 0:
+            wide[last] = 2  # this reduction also scales acc by m^-1
+        own = _scaled(coeffs, inverse, cut)
     base, second, acc, quot, found = (b[:size] for b in _block_buffers(np))
     hits = []
     for lo in range(0, m, size):
@@ -239,41 +280,53 @@ def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
             base, second, acc, quot, found = (
                 b[: m - lo] for b in (base, second, acc, quot, found))
         if not lo:  # x = i, and f's own coefficients
-            xs, terms = base, coeffs
+            xs, terms = base, own
         elif shift:
             xs, terms = base, _taylor_shift(coeffs, lo, m)
+            if odd:
+                terms = _scaled(terms, inverse, cut)
         else:
-            xs, terms = np.add(base, lo, out=second), coeffs
+            xs, terms = np.add(base, lo, out=second), own
         # the first step never overflows: lead * top + c < m^2 <= 2^62
         if len(terms) == 1:
-            acc.fill(lead)
+            acc.fill(terms[0])
         elif lo and shift:
             if lo == size:  # lead * i, kept for every later block
-                np.multiply(base, lead, out=second)
+                np.multiply(base, terms[-1], out=second)
             np.add(second, terms[-2], out=acc)
         else:
-            np.multiply(xs, lead, out=acc)
+            np.multiply(xs, terms[-1], out=acc)
             if terms[-2]:
                 acc += terms[-2]
         for reduce, c in zip(wide[1:], terms[-3::-1]):
             if reduce:
                 np.floor_divide(acc, m, out=quot)
-                np.multiply(quot, m, out=quot)
+                if reduce == 2:  # acc * m^-1 - acc // m = (acc mod m) * m^-1
+                    acc *= inverse
+                else:
+                    np.multiply(quot, m, out=quot)
                 acc -= quot
             np.multiply(acc, xs, out=acc)
             if c:
                 acc += c
-        if odd:
-            # acc <= bound <= 2^63 - 1 reads the same as uint64
-            scaled = acc.view(np.uint64)
-            scaled *= inverse
-            np.less_equal(scaled, limit, out=found)
-        else:
+        if not odd:
             np.floor_divide(acc, m, out=quot)
             np.multiply(quot, m, out=quot)
             np.equal(acc, quot, out=found)
-        hits += (np.flatnonzero(found) + lo).tolist()
+        elif m > size and acc.min() > limit:
+            continue  # no multiple of m in this block
+        else:
+            np.less_equal(acc, limit, out=found)
+        hits += (found.nonzero()[0] + lo).tolist()
     return hits
+
+
+def _scaled(terms: list[int], inverse: int, cut: int) -> list[int]:
+    """terms[:cut] times inverse mod 2^64, with 2^63 added to the
+    constant, and terms[cut:] as they are, each as an int64."""
+    return [terms[0] * inverse % 2**64 - 2**63,
+            *[(c * inverse + 2**63) % 2**64 - 2**63 for c in terms[1:cut]],
+            *terms[cut:]]
 
 
 def _taylor_shift(coeffs: list[int], a: int, m: int) -> list[int]:
@@ -366,7 +419,11 @@ def solve_congruence_bruteforce(
     every factor takes the loop.  The numpy scan runs Horner's rule over
     blocks of 2^14 residues; up to degree 12 each block after the first
     evaluates f shifted to the block's start at the offsets from it,
-    which keeps its values narrow.  Any modulus >= 2 is accepted up to
+    which keeps its values narrow.  An odd factor evaluates f times its
+    inverse mod 2^64, where its multiples are the least values, so a
+    block whose least value is above them is passed over without
+    listing anything: 4, 6 and 8 passes over a shifted block at degree
+    2, 3 and 4.  Any modulus >= 2 is accepted up to
     `bound` (default 10^7), which keeps exhaustion tractable.  More than
     `max_solutions` solutions, when it is given, are refused before they
     are joined: the zero polynomial has m of them.

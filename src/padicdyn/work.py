@@ -23,11 +23,13 @@ Over 722 timed root findings (primes of 2 to
 255 bits, degree 1 to 160) roots is 1.0x to 5.2x its time when all
 min(d, p) roots are there, and up to 32x when few are, as the count is
 not known before the call; a quadratic, now solved by formula, 7.7x or
-more.  Over 171 timed oracle scans (moduli of 10^3 to 10^7, degree 1
-to 24, a root planted, the CRT join left out as it is charged per
-solution) oracle is 1.7x to 3.8x their time where the plain loop scans
-and 3.6x to 21x, 9.9x in the median, where numpy does.  A --prime's
-primality test, charged before it runs, is 1.1x to 4x its time.
+more.  Over 1104 timed oracle scans (23 moduli of 10^3 to 10^7, odd
+and even, degree 1 to 24, dense, sparse and with leads below 10 or
+q - 1, a root planted, the CRT join left out as it is charged per
+solution) oracle is 1.9x to 15x their time, 3.9x in the median, where
+numpy scans a factor, and 1.9x to 14x where only the plain loop does.
+A --prime's primality test, charged before it runs, is 1.1x to 4x its
+time.
 """
 
 from __future__ import annotations
@@ -170,24 +172,26 @@ def orbit(f: IntPoly, p: int, k: int, steps: int) -> int:
 def oracle(f: IntPoly, m: int) -> int:
     """The scan evaluates f at each residue mod each prime-power factor
     q of m, the sum of the q in all (m itself for a prime): about 100 ns
-    per residue and 160 ns per coefficient in the plain loop, and
-    vectorized 10 ns and 10 ns, as the scan reduces mod q only where
-    int64 could overflow.  The vectorized scan also makes two numpy
-    calls per coefficient for each block of up to _BLOCK residues of
-    each factor, each 0.7 to 1.5 us whatever its length, charged at
-    2 us.  Each factor is charged by the scanner the oracle gives it,
-    numpy or the loop, as _numpy_scans decides.  Finding the factors
-    by trial division tries at most isqrt(m) / 2 + 1 divisors, about
-    140 ns each.  (numpy's import, about 0.15 s, is left to the limit's
-    margin.)  The rates were fitted before large factors were scanned
-    in cache-sized blocks, which made those scans faster; they are not
-    lowered for it, so the estimate stays an upper bound.  The numpy scan
-    also skips the addition of a zero coefficient, which the estimate
-    still charges, so it over-charges a sparse f, which is safe.  Up to
-    degree _SHIFT_MAX_DEGREE each block also takes a Taylor shift of f in
-    Python, d(d + 1) / 2 multiply-adds of about 0.1 us, under 0.7 us per
-    coefficient at that degree: the 4 us a block is charged per
-    coefficient covers it with its numpy calls."""
+    per residue and 160 ns per coefficient in the plain loop, and 4 ns
+    per residue per coefficient in the numpy scan, which covers its
+    reductions mod q where int64 could overflow: at q near 10^7 above
+    degree 12 it reduces before every other step, about 2.2 ns per
+    residue per coefficient in all.  Each block of up to _BLOCK residues
+    of a numpy-scanned factor is also charged two numpy calls per
+    coefficient and two more for its hit test, each 0.7 to 1.5 us
+    whatever its length, at 2 us.  An odd q's block ends on its values
+    times q^-1 mod 2^64 and takes their min(), and builds a mask only
+    where that shows a hit: a shifted block without one makes 4, 6 and
+    8 calls at degree 2, 3 and 4.  Up to degree _SHIFT_MAX_DEGREE the
+    charge also covers the block's Taylor shift and the scaling of its
+    coefficients by q^-1 in Python, d(d + 1) / 2 + d + 1 multiply-adds
+    of about 0.1 us.  Each factor is charged by the scanner the oracle
+    gives it, numpy or the loop, as _numpy_scans decides.  Finding the
+    factors by trial division tries at most isqrt(m) / 2 + 1 divisors,
+    about 140 ns each.  (numpy's import, about 0.15 s, is left to the
+    limit's margin.)  The numpy scan skips the addition of a zero
+    coefficient, which the estimate still charges, so it over-charges a
+    sparse f, which is safe."""
     terms = max(f.degree + 1, 1)
     factors = _prime_power_factors(m)
     vectorized = [q for q in factors if _numpy_scans(q, m)]
@@ -195,8 +199,8 @@ def oracle(f: IntPoly, m: int) -> int:
     blocks = sum(-(-q // _BLOCK) for q in vectorized)
     return (
         looped * (10 + 16 * terms)
-        + sum(vectorized) * (1 + terms)
-        + blocks * terms * 2 * _NUMPY_CALL
+        + sum(vectorized) * terms * 2 // 5
+        + blocks * (terms + 2) * 2 * _NUMPY_CALL
         + 14 * (math.isqrt(m) // 2 + 1)
     )
 

@@ -459,15 +459,29 @@ class TestWorkLimits:
                           "--modulus", str(m), timeout=1)
         assert proc.returncode == 0, proc.stdout
         assert len(json.loads(proc.stdout)["solutions"]) == 640
-        # a prime is one factor, scanned whole: m residues and the trial
+        # a prime is one factor, scanned whole: 0.4 steps per residue for
+        # each of the 11 coefficients, two numpy calls per block of it for
+        # each coefficient and two for its hit test, and the trial
         # division that finds no factor
-        # division that finds no factor, and two numpy calls per block of
-        # it for each of the 11 coefficients
         p = 9999991
         blocks = -(-p // congruence._BLOCK)
         assert work.oracle(f, p) == (
-            p * 12 + blocks * 11 * 2 * work._NUMPY_CALL + 14 * (math.isqrt(p) // 2 + 1)
+            p * 11 * 2 // 5 + blocks * 13 * 2 * work._NUMPY_CALL
+            + 14 * (math.isqrt(p) // 2 + 1)
         )
+
+    def test_oracle_of_a_dense_degree_9_prime_modulus_is_accepted(self):
+        # 611 blocks of 2^14 residues at degree 9: 0.13 s in process on a
+        # 2-vCPU x86 VM, 0.3 s cold; it was refused at 112,466,049 steps
+        # when the numpy scan was charged 10 ns per residue per coefficient
+        poly, p = "x^9+3x^8+5x^7+7x^6+11x^5+13x^4+17x^3+19x^2+23x+29", 9999991
+        f = parse_poly(poly)
+        assert work.oracle(f, p) <= work.MAX_WORK
+        proc = run_python("-m", "padicdyn.cli", "oracle", "--poly", poly,
+                          "--modulus", str(p), timeout=1)
+        assert proc.returncode == 0, proc.stdout
+        assert json.loads(proc.stdout)["solutions"] == (
+            congruence.solve_congruence_bruteforce(f, 0, p))
 
     def test_oracle_charges_the_numpy_calls_of_many_small_factors(self):
         # eight factors of at most 19 residues, which take the plain loop:

@@ -548,6 +548,136 @@ class TestShiftedScan:
             4, 4 + 5**7]
 
 
+def lead_times_roots(lead, q, roots):
+    """Coefficients mod q of lead * prod (x - r)."""
+    f = IntPoly((lead,))
+    for r in roots:
+        f = f * IntPoly((-r, 1))
+    return [c % q for c in f.coeffs]
+
+
+def count_calls(monkeypatch, name):
+    """Record the divisor or bound of every numpy `name` call a scan makes."""
+    import numpy as np
+
+    seen = []
+    ufunc = getattr(np, name)
+
+    def counting(*args, **kwargs):
+        seen.append(args[1])
+        return ufunc(*args, **kwargs)
+
+    monkeypatch.setattr(np, name, counting)
+    return seen
+
+
+class TestScaledHitTest:
+    """An odd factor runs Horner's rule, from its last reduction on (from
+    the first step if there is none), on coefficients times q^-1 mod 2^64,
+    so each block ends on n * q^-1 and holds a solution exactly when its
+    least value is at most (2^64 - 1) // q.  Only such a block of a factor
+    of more than one block builds the hit mask."""
+
+    @pytest.mark.parametrize("q, block", [
+        (4999, 997),  # prime: 5 blocks of 997 and one of 14
+        (4991, 997),  # 7 * 23 * 31: 5 blocks of 997 and one of 6
+        (40009, None),  # prime: 2 blocks of 2^14 and one of 7241
+        (3 * 11 * 1061, None),  # 2 blocks of 2^14 and one of 2245
+    ])
+    def test_matches_the_loop_wherever_the_solutions_fall(self, q, block, monkeypatch):
+        if block:
+            monkeypatch.setattr(congruence, "_BLOCK", block)
+        block = congruence._BLOCK
+        masks = count_calls(monkeypatch, "less_equal")
+        rng = random.Random(137 + q)
+        cuts = range(block, q, block)
+        edges = sorted({c + e for c in cuts for e in (-1, 0)})
+        middle = cuts[(len(cuts) - 1) // 2]
+        # n has no square root mod the least prime p dividing q, so
+        # (x^2 - n)^k has no root mod q
+        p = next(d for d in range(3, q + 1, 2) if q % d == 0)
+        n = next(n for n in range(2, p) if all((x * x - n) % p for x in range(p)))
+        for degree in (0, 1, 2, 12, 13):
+            layouts = {
+                "first": rng.sample(range(block), degree),
+                "boundaries": (edges + rng.sample(range(q), degree))[:degree],
+                "last": rng.sample(range(cuts[-1], q), min(degree, q - cuts[-1])),
+                "one block": rng.sample(range(middle, middle + block), degree),
+            }
+            for lead in (1, q - 1):
+                polys = [(roots, lead_times_roots(lead, q, roots))
+                         for roots in layouts.values() if len(roots) == degree]
+                if degree % 2 == 0:  # none at all
+                    square = IntPoly((-n, 0, 1)) ** (degree // 2)
+                    polys.append(([], [c * lead % q for c in square.coeffs]))
+                if degree == 0:  # every residue: a mask in every block
+                    polys.append((range(q), [0]))
+                for roots, coeffs in polys:
+                    for target in (0, rng.randrange(1, q)):
+                        moved = [(coeffs[0] + target) % q, *coeffs[1:]]
+                        expected = congruence._bruteforce_python(moved, target, q)
+                        assert set(roots) <= set(expected)
+                        masks.clear()
+                        got = congruence._bruteforce_vectorized(moved, target, q)
+                        assert got == expected
+                        assert len(masks) == len({x // block for x in expected})
+
+    @pytest.mark.parametrize("blocks_with_roots", [
+        [], [0], [6], [0, 6], [2, 3, 4], list(range(7)), [3, 3, 3, 3],
+    ])
+    def test_only_blocks_holding_a_solution_build_the_mask(self, blocks_with_roots,
+                                                          monkeypatch):
+        # the prime 98317 spans 7 blocks of 2^14, the last of 16 residues;
+        # a root is planted in each listed block, several where one repeats
+        q, block = 98317, congruence._BLOCK
+        assert -(-q // block) == 7
+        rng = random.Random(139 + len(blocks_with_roots))
+        roots = set()
+        for b in blocks_with_roots:
+            roots.add(rng.randrange(b * block, min((b + 1) * block, q)))
+        coeffs = lead_times_roots(rng.randrange(1, q), q, sorted(roots))
+        if not roots:  # x^2 - 5, and 5 is not a square mod 98317
+            coeffs = [q - 5, 0, 1]
+        masks = count_calls(monkeypatch, "less_equal")
+        assert congruence._bruteforce_vectorized(coeffs, 0, q) == sorted(roots)
+        assert len(masks) == len(set(blocks_with_roots))
+
+    def test_a_factor_of_one_block_builds_one_mask(self, monkeypatch):
+        # its one block is tested whatever it holds, with no min() first:
+        # mod 16381 = 3 * 43 * 127, x^2 + 3 has roots and x^2 - 2 has none,
+        # as 2 is not a square mod 3
+        masks = count_calls(monkeypatch, "less_equal")
+        q = 16381
+        for coeffs, solvable in (([3, 0, 1], True), ([q - 2, 0, 1], False)):
+            expected = congruence._bruteforce_python(coeffs, 0, q)
+            assert bool(expected) == solvable
+            assert congruence._bruteforce_vectorized(coeffs, 0, q) == expected
+        assert len(masks) == 2
+
+    @pytest.mark.parametrize("lead, reductions", [(1, 0), (2**21 + 268, 1)])
+    def test_scaling_follows_the_last_reduction(self, lead, reductions, monkeypatch):
+        # the prime 2^21 + 269 at degree 3: with lead q - 1 each block
+        # reduces before its last step (test_shifted_bound_at_the_default_block
+        # pins the bound), so only the constant is scaled and the reduction
+        # leaves (acc mod q) * q^-1; with lead 1 it never reduces and every
+        # coefficient is scaled.  Roots in the first block, on both sides
+        # of a boundary and in the short last block of 269 residues.
+        q, s = 2**21 + 269, congruence._BLOCK
+        assert as_prime(q).p == q and q % s == 269
+        divisions = count_calls(monkeypatch, "floor_divide")
+        masks = count_calls(monkeypatch, "less_equal")
+        blocks = -(-q // s)
+        for roots in ([5, s - 1, s], [77 * s - 1, 77 * s, q - 1], [q - 269, q - 2, q - 1]):
+            divisions.clear()
+            masks.clear()
+            coeffs = lead_times_roots(lead, q, roots)
+            # over F_q a product of distinct linear factors has exactly
+            # their roots
+            assert congruence._bruteforce_vectorized(coeffs, 0, q) == roots
+            assert divisions == [q] * reductions * blocks
+            assert len(masks) == len({r // s for r in roots})
+
+
 class TestScannerPerFactor:
     @pytest.mark.parametrize("q", [
         congruence._LOOP_FACTOR_MAX, congruence._LOOP_FACTOR_MAX + 1,
