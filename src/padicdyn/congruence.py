@@ -12,14 +12,14 @@ never loads it.  Each prime-power factor of such a modulus takes the
 numpy scan when it has more than _LOOP_FACTOR_MAX residues and the
 plain loop otherwise; a smaller modulus takes the loop for every
 factor.  The plain loop reduces at every step.  The numpy scan takes
-the target into the constant term and runs Horner's rule in int64 over
-blocks of up to _BLOCK residues.  Up to degree _SHIFT_MAX_DEGREE it
-runs the rule on the offset i = x - lo from the block's start lo, with
-the coefficients of f(lo + i) mod the factor, a Taylor shift of f made
-per block; above it, on x.  It skips the addition of a zero
-coefficient and reduces mod the factor, by floor division, only before
-a step that an exact bound says could pass 2^63 - 1.  x is a hit when
-the factor q divides its final value n.  An odd q runs the rule, from
+the target into the constant term and runs Horner's rule in uint64
+over blocks of up to _BLOCK residues.  Up to degree _SHIFT_MAX_DEGREE
+it runs the rule on the offset i = x - lo from the block's start lo,
+with the coefficients of f(lo + i) mod the factor, a Taylor shift of f
+made per block (by 0 in the first); above it, on x.  It skips the
+addition of a zero coefficient and reduces mod the factor, by floor
+division, only before a step that an exact bound says could pass
+2^64 - 1.  x is a hit when the factor q divides its final value n.  An odd q runs the rule, from
 its last reduction on, on its coefficients times q^-1 mod 2^64, so the
 block ends on n * q^-1 mod 2^64, which is at most (2^64 - 1) // q
 exactly at the hits; a block of a factor of more than one block whose
@@ -46,7 +46,7 @@ DEFAULT_ORACLE_BOUND = 10**7
 # (31 ms at degree 4).  A one-shot process therefore comes out ahead
 # without numpy up to m of about 4 * 10^5; 2^16 keeps the loop well under
 # the import's cost even at higher degree.  The numpy scan reduces only
-# where int64 could overflow, which needs (m - 1)^2 + (m - 1) < 2^63 right
+# where uint64 could overflow, which needs (m - 1)^2 + (m - 1) < 2^64 right
 # after a reduction; _VECTOR_MAX = 2^31 keeps that below m^2 <= 2^62.
 #
 # Past that gate the scanner is chosen per factor q.  A numpy scan costs
@@ -63,7 +63,7 @@ DEFAULT_ORACLE_BOUND = 10**7
 # A factor q > _BLOCK is scanned in blocks of _BLOCK residues, one after
 # another, on buffers reused from block to block: the offsets i, lead * i
 # (or x = lo + i above the shift's degree bound), acc and a quotient at
-# 2^14 int64 entries, and the hit mask, take 528 KiB, inside the 2 MiB L2
+# 2^14 uint64 entries, and the hit mask, take 528 KiB, inside the 2 MiB L2
 # cache of the VM's Xeon.
 # On the oracle_scan inputs of seed 1 (factors up to 2^19, degree 2 to
 # 4, each call followed by its check as in the benchmark), the 95th
@@ -77,62 +77,54 @@ DEFAULT_ORACLE_BOUND = 10**7
 # slowest oracle_scan calls then took 36 to 50 minor page faults each,
 # whose cost moves with the host's load, and none once they were kept.
 #
-# Up to degree _SHIFT_MAX_DEGREE each block after the first, starting at
-# lo, runs Horner's rule on its offset i in [0, 2^14), with the
-# coefficients of f(lo + i) mod q from a Taylor shift in Python,
-# d(d + 1) / 2 multiply-adds (von zur Gathen and Gerhard, ISSAC 1997).
-# lead * i is the same in every such block, so it is made once per call,
-# into the buffer that holds lo + i on x, and a block starts with one
-# add where it took a shift, a multiply and an add.  A step multiplies
-# by at most 2^14 - 1 instead of q - 1, so the exact bound asks for
-# fewer reductions: with a lead below 10 and q below 2^20, as in
-# oracle_scan, a degree-4 scan no longer reduces at all.  A block then
-# took 5, 7 and 9 passes at degree 2, 3 and 4, against 7, 9 and 14 on
-# x at the factors oracle_scan scans (4, 6 and 8 with the hit test
-# below).  Whole scans with such a lead (best of 21 runs of 5,
-# alternating in one process, before that hit test) took 537, 704 and
-# 867 us at q = 262139 and degree 2, 3 and 4, and 712, 937 and 1154 us
-# at 347227, against 668, 825, 1389 and 886, 1096, 1850 us on x.  Above
-# the bound the shift's O(d^2) Python and the dense f it makes of a
-# sparse one cost more than they save, and every block runs on x.
-# Shifted over on x, the same f alternating in one process: a dense f
-# at q = 196613, 347227 and 2^19 + 21 took 0.75 to 0.93 of the time at
-# degree 2 to 12 and 0.84 to 0.94 at 14 to 64, and x^e - x, x^e + 1 and
-# three-term f at q = 196613 took 0.70 to 0.99 at degree 3 to 12 (1.08
-# at x^5 - x), but 0.93 to 1.03 at 14 to 32 and 1.18 at x^100 - x.
+# Up to degree _SHIFT_MAX_DEGREE each block, starting at lo, runs
+# Horner's rule on its offset i in [0, 2^14), with the coefficients of
+# f(lo + i) mod q from a Taylor shift in Python, d(d + 1) / 2
+# multiply-adds (von zur Gathen and Gerhard, ISSAC 1997); the first
+# block's shift is by 0, so it takes f's own coefficients.  lead * i is
+# the same in every block, so it is made once per call, at the first
+# block, into the buffer that holds lo + i on x, and each later block
+# starts with one add where it took a shift, a multiply and an add.  A
+# step multiplies by at most 2^14 - 1 instead of q - 1, so the exact
+# bound asks for fewer reductions: with a lead below 10 and q below 2^20,
+# as in oracle_scan, a degree-4 scan does not reduce at all, and a
+# shifted block took 5, 7 and 9 passes at degree 2, 3 and 4 where a
+# block on x took 7, 9 and 14 at the factors oracle_scan scans, both
+# before the hit test below.  Above the bound the shift's O(d^2) Python and the
+# dense f it makes of a sparse one cost more than they save, and every
+# block runs on x.  Shifted over on x, the same f alternating in one
+# process: a dense f at q = 196613, 347227 and 2^19 + 21 took 0.75 to
+# 0.93 of the time at degree 2 to 12 and 0.84 to 0.94 at 14 to 64, and
+# x^e - x, x^e + 1 and three-term f at q = 196613 took 0.70 to 0.99 at
+# degree 3 to 12 (1.08 at x^5 - x), but 0.93 to 1.03 at 14 to 32 and
+# 1.18 at x^100 - x.
 #
-# Mid-scan the scan reduces as acc - (acc // q) * q; numpy divides int64
-# by a scalar through libdivide.  The target is taken into the constant
-# term, as (c_0 - target) mod q, so x is a hit exactly when q divides
-# the final value n, which the bound keeps in [0, 2^63).  For odd q,
-# n -> n * q^-1 mod 2^64 permutes [0, 2^64) and takes k * q to k, so it
-# sends the multiples of q below 2^64 onto [0, (2^64 - 1) // q] and
-# every other n above it (Granlund and Montgomery, PLDI 1994; Lemire,
-# Kaser and Kurz, SPE 49(6), 2019).  Reduction mod 2^64 commutes with
-# Horner's rule, so the scan makes n * q^-1 with no pass of its own:
-# from the last reduction on (from the first step, if there is none) it
-# runs the rule on the coefficients times q^-1 mod 2^64, lead * i
-# included when it is made once per call, in numpy's int64 arithmetic,
-# which wraps mod 2^64.  The last reduction takes (acc mod q) * q^-1 as
-# acc * q^-1 - acc // q, in as many passes as acc - (acc // q) * q.  The
-# constant also carries 2^63, so acc ends on n * q^-1 - 2^63 read as an
-# int64, which orders the values as uint64 would.  A factor of more than
-# one block holds its solutions in a few of its blocks at most (a prime
-# one has at most d of them), so each block takes its min() first, and
-# only a block whose min() is at most the limit builds the hit mask and
-# its index list.  A shifted block without a solution then takes 4, 6
-# and 8 passes at degree 2, 3 and 4, against 5, 7 and 9 and a mask, its
-# nonzero() and a list before.  At q = 347227 with a lead below 10 (best
-# of 21 runs of 5, alternating in one process, in two processes) a block
-# took 23, 32 to 33 and 42 to 44 us at degree 2, 3 and 4, against 33 to
-# 34, 43 to 44 and 53 to 54 us when it multiplied acc by q^-1 (5.0 us),
-# built the mask (5.8 to 6.8 us) and listed its hits (2.8 to 3.3 us) in
-# every block; the min() takes 2.7 to 3.2 us.  A factor of one block
-# builds its mask with no min() first, as in oracle_scan every factor
-# holds a solution, and takes the scaled coefficients too: the
-# oracle_scan calls whose factors all fit one block took 0.96 to 1.00 of
-# the time in process.  An even q has no inverse mod 2^64: x is a hit
-# there when acc == (acc // q) * q.
+# The scan runs in uint64, whose arithmetic wraps mod 2^64.  Mid-scan it
+# reduces as acc - (acc // q) * q; numpy divides by a scalar through
+# libdivide, and an unsigned division cost 9.7 us on 2^14 entries where
+# a signed one cost 15.7 us (numpy 2.4.6).  The target is taken into the
+# constant term, as (c_0 - target) mod q, so x is a hit exactly when q
+# divides the final value n, which the bound keeps in [0, 2^64).  For
+# odd q, n -> n * q^-1 mod 2^64 permutes [0, 2^64) and takes k * q to k,
+# so it sends the multiples of q below 2^64 onto [0, (2^64 - 1) // q]
+# and every other n above it (Granlund and Montgomery, PLDI 1994;
+# Lemire, Kaser and Kurz, SPE 49(6), 2019).  Reduction mod 2^64 commutes
+# with Horner's rule, so the scan makes n * q^-1 with no pass of its
+# own: from the last reduction on (from the first step, if there is
+# none) it runs the rule on the coefficients times q^-1 mod 2^64, lead *
+# i included when it is made once per call.  The last reduction takes
+# (acc mod q) * q^-1 as acc * q^-1 - acc // q, in as many passes as
+# acc - (acc // q) * q.  A factor of more than one block holds its
+# solutions in a few of its blocks at most (a prime one has at most d of
+# them), so each block takes its min() first, and only a block whose
+# min() is at most the limit builds the hit mask and its index list: at
+# q = 347227 a block's mask took 5.8 to 6.8 us and its list 2.8 to 3.3
+# us, the min() 2.7 to 3.2 us.  A factor of one block builds its mask
+# with no min() first, as in oracle_scan every factor holds a solution,
+# and takes the scaled coefficients too: the oracle_scan calls whose
+# factors all fit one block took 0.96 to 1.00 of the time in process.
+# An even q has no inverse mod 2^64: x is a hit there when
+# acc == (acc // q) * q.
 _VECTOR_MIN = 2**16
 _VECTOR_MAX = 2**31
 _BLOCK = 2**14
@@ -141,6 +133,11 @@ _SHIFT_MAX_DEGREE = 12
 # The numpy CRT join costs about 50 us for its calls on a few factors,
 # the plain one about 0.4 us per solution: they are level at 200 to 300
 # solutions (64 us against 27 us at 64, 150 us against 290 us at 648).
+# At the CLI's cap, `oracle --poly 0 --modulus 400000` (400,000
+# solutions), the join took 24 to 28 ms, against 87 to 115 ms with the
+# plain join alone, and the whole call 264 to 305 ms in process (0.44 to
+# 0.53 s cold) against 478 to 496 ms (0.64 to 0.70 s cold); the rest of
+# that gap showed up in printing, for a cause not verified.
 _CRT_VECTOR_MIN = 256
 _scratch = threading.local()
 
@@ -215,29 +212,26 @@ def _bruteforce_python(coeffs: list[int], target: int, m: int) -> list[int]:
     return hits
 
 
-_INT64_MAX = 2**63 - 1
-
-
 def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
-    # Horner over each block at once, in place, reducing mod m only where
-    # a step could pass 2^63 - 1.  The target is taken into the constant
-    # term, as (c_0 - target) mod m, so x is a hit exactly when m divides
-    # its final value n, as the comment above _VECTOR_MIN explains.  Up to
-    # degree _SHIFT_MAX_DEGREE each block after the first runs the rule on
-    # its offset i = x - lo < size, with the coefficients of f(lo + i)
-    # mod m, and starts from lead * i, the same in every such block; the
-    # first block, where i = x, and every block above that degree run it
-    # on x with f's own coefficients.  The rule reads values in [0, top]
-    # and coefficients in [0, m), so `bound`, an exact upper bound on n
-    # and on every value before it, decides before which steps to reduce;
-    # the same steps serve every block.  For odd m the steps from the last
-    # reduction on (from the first, if there is none) add coefficients
-    # times m^-1 mod 2^64, and that reduction leaves (acc mod m) * m^-1,
-    # so acc ends, wrapping mod 2^64 as int64, on n * m^-1 - 2^63, the
-    # 2^63 carried by the constant: a hit when it is at most `limit`.  A
-    # block of an m of more than one block whose min() is above `limit`
-    # holds no hit and builds no mask: a shifted block without a hit takes
-    # 2d - 1 passes of the rule and the min(), 4, 6 and 8 at degree 2, 3, 4.
+    # Horner over each block at once, in place, in uint64, reducing mod m
+    # only where a step could pass 2^64 - 1.  The target is taken into the
+    # constant term, as (c_0 - target) mod m, so x is a hit exactly when m
+    # divides its final value n, as the comment above _VECTOR_MIN explains.
+    # Up to degree _SHIFT_MAX_DEGREE every block, starting at lo, runs the
+    # rule on its offset i = x - lo < size, with the coefficients of
+    # f(lo + i) mod m (f's own in the first block, the shift by 0), and
+    # starts from lead * i, the same in every block; above that degree
+    # every block runs it on x with f's own coefficients.  The rule reads
+    # values in [0, top] and coefficients in [0, m), so `bound`, an exact
+    # upper bound on n and on every value before it, decides before which
+    # steps to reduce; the same steps serve every block.  For odd m the
+    # steps from the last reduction on (from the first, if there is none)
+    # add coefficients times m^-1 mod 2^64, and that reduction leaves
+    # (acc mod m) * m^-1, so acc ends, wrapping mod 2^64, on n * m^-1: a
+    # hit when it is at most `limit`.  A block of an m of more than one
+    # block whose min() is above `limit` holds no hit and builds no mask:
+    # a shifted block without a hit takes 2d - 1 passes of the rule and
+    # the min(), 4, 6 and 8 at degree 2, 3 and 4.
     import numpy as np
 
     coeffs = [((coeffs[0] if coeffs else 0) - target) % m, *coeffs[1:]]
@@ -255,43 +249,39 @@ def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
         # after it reaches at most (m - 1) * top + (m - 1) < m^2 <= 2^62
         # for m <= _VECTOR_MAX = 2^31, so a step that follows one always
         # fits.
-        reduce = bound * top + c > _INT64_MAX
+        reduce = bound * top + c > 2**64 - 1
         if reduce:
             last = len(wide)
             bound = m - 1
         wide.append(reduce)
         bound = bound * top + c
     odd = m % 2 == 1
-    own = coeffs
     if odd:
-        # m^-1 mod 2^64 as an int64; acc ends on n * m^-1 - 2^63 mod 2^64
-        inverse = (pow(m, -1, 2**64) + 2**63) % 2**64 - 2**63
-        limit = (2**64 - 1) // m - 2**63
+        # acc ends on n * m^-1 mod 2^64
+        inverse = pow(m, -1, 2**64)
+        limit = (2**64 - 1) // m
         # step j adds the coefficient of x^(d - 1 - j), so the steps from
         # the last reduction on add the first `cut` coefficients
         cut = len(coeffs) - 1 - last
         if last >= 0:
             wide[last] = 2  # this reduction also scales acc by m^-1
-        own = _scaled(coeffs, inverse, cut)
     base, second, acc, quot, found = (b[:size] for b in _block_buffers(np))
     hits = []
     for lo in range(0, m, size):
         if lo + size > m:
             base, second, acc, quot, found = (
                 b[: m - lo] for b in (base, second, acc, quot, found))
-        if not lo:  # x = i, and f's own coefficients
-            xs, terms = base, own
-        elif shift:
-            xs, terms = base, _taylor_shift(coeffs, lo, m)
-            if odd:
-                terms = _scaled(terms, inverse, cut)
+        if shift:
+            xs, terms = base, _taylor_shift(coeffs, lo, m) if lo else coeffs
         else:
-            xs, terms = np.add(base, lo, out=second), own
+            xs, terms = np.add(base, lo, out=second), coeffs
+        if odd:
+            terms = _scaled(terms, inverse, cut)
         # the first step never overflows: lead * top + c < m^2 <= 2^62
         if len(terms) == 1:
             acc.fill(terms[0])
-        elif lo and shift:
-            if lo == size:  # lead * i, kept for every later block
+        elif shift:
+            if not lo:  # lead * i, kept for every later block
                 np.multiply(base, terms[-1], out=second)
             np.add(second, terms[-2], out=acc)
         else:
@@ -313,7 +303,8 @@ def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
             np.floor_divide(acc, m, out=quot)
             np.multiply(quot, m, out=quot)
             np.equal(acc, quot, out=found)
-        elif m > size and acc.min() > limit:
+        # compared as an int: numpy 1.x makes float64 of a uint64 and an int
+        elif m > size and int(acc.min()) > limit:
             continue  # no multiple of m in this block
         else:
             np.less_equal(acc, limit, out=found)
@@ -322,11 +313,8 @@ def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
 
 
 def _scaled(terms: list[int], inverse: int, cut: int) -> list[int]:
-    """terms[:cut] times inverse mod 2^64, with 2^63 added to the
-    constant, and terms[cut:] as they are, each as an int64."""
-    return [terms[0] * inverse % 2**64 - 2**63,
-            *[(c * inverse + 2**63) % 2**64 - 2**63 for c in terms[1:cut]],
-            *terms[cut:]]
+    """terms[:cut] times inverse mod 2^64, and terms[cut:] as they are."""
+    return [c * inverse % 2**64 for c in terms[:cut]] + terms[cut:]
 
 
 def _taylor_shift(coeffs: list[int], a: int, m: int) -> list[int]:
@@ -341,12 +329,12 @@ def _taylor_shift(coeffs: list[int], a: int, m: int) -> list[int]:
 
 
 def _block_buffers(np):
-    """This thread's arange(_BLOCK), three more int64 buffers and a bool
+    """This thread's arange(_BLOCK), three more uint64 buffers and a bool
     one of _BLOCK entries, made on its first numpy scan and kept."""
     buffers = getattr(_scratch, "buffers", None)
     if buffers is None or len(buffers[0]) != _BLOCK:
-        buffers = (np.arange(_BLOCK, dtype=np.int64),
-                   *(np.empty(_BLOCK, dtype=np.int64) for _ in range(3)),
+        buffers = (np.arange(_BLOCK, dtype=np.uint64),
+                   *(np.empty(_BLOCK, dtype=np.uint64) for _ in range(3)),
                    np.empty(_BLOCK, dtype=bool))
         _scratch.buffers = buffers
     return buffers
@@ -416,8 +404,8 @@ def solve_congruence_bruteforce(
     residue sets are joined by CRT.  From m = 2^16 a factor of more than
     32 residues is scanned with numpy and a smaller one with the plain
     loop, which beats numpy's fixed cost per call there; below 2^16
-    every factor takes the loop.  The numpy scan runs Horner's rule over
-    blocks of 2^14 residues; up to degree 12 each block after the first
+    every factor takes the loop.  The numpy scan runs Horner's rule in
+    uint64 over blocks of 2^14 residues; up to degree 12 each block
     evaluates f shifted to the block's start at the offsets from it,
     which keeps its values narrow.  An odd factor evaluates f times its
     inverse mod 2^64, where its multiples are the least values, so a

@@ -153,9 +153,7 @@ def lift(f: IntPoly, p: int, k: int) -> int:
 def preimages(f: IntPoly, p: int, k: int) -> int:
     # a root finding, then a lift of each of at most min(d, p) roots,
     # each of which cuts f's coefficients mod p^k itself
-    return roots(f, p) + min(f.degree, p) * (
-        _excess(f, k * p.bit_length()) + _newton(f, p, k)
-    )
+    return roots(f, p) + min(f.degree, p) * lift(f, p, k)
 
 
 def ladder(f: IntPoly, p: int, k: int) -> int:
@@ -174,7 +172,7 @@ def oracle(f: IntPoly, m: int) -> int:
     q of m, the sum of the q in all (m itself for a prime): about 100 ns
     per residue and 160 ns per coefficient in the plain loop, and 4 ns
     per residue per coefficient in the numpy scan, which covers its
-    reductions mod q where int64 could overflow: at q near 10^7 above
+    reductions mod q where uint64 could overflow: at q near 10^7 above
     degree 12 it reduces before every other step, about 2.2 ns per
     residue per coefficient in all.  Each block of up to _BLOCK residues
     of a numpy-scanned factor is also charged two numpy calls per

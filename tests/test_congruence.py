@@ -159,15 +159,16 @@ class TestBruteForceOracle:
             assert planted is None or planted in got
             assert got == congruence._bruteforce_python(coeffs, c, m)
 
-    @pytest.mark.parametrize("q", [2097143, 2097169])
-    def test_int64_overflow_boundary(self, q, monkeypatch):
-        # Both are primes, 2^21 - 9 and 2^21 + 17.  A degree-4 scan whose
-        # lead is q - 1 reaches at least (q - 1)^3 at x = q - 1 once x^2
-        # is multiplied in: below 2^63 for the first, so no reduction comes
-        # before that step, and above it for the second, which must reduce
-        # first.  That step only overflows at x near q - 1, so the roots
-        # are drawn from there.
-        assert ((q - 1) ** 3 + (q - 1) ** 2 + q - 1 < 2**63) == (q < 2**21)
+    @pytest.mark.parametrize("q", [2642239, 2642257])
+    def test_uint64_overflow_boundary(self, q, monkeypatch):
+        # Both are primes, on either side of 2642246, the largest q with
+        # (q - 1)^3 + (q - 1)^2 + (q - 1) <= 2^64 - 1.  A degree-4 scan
+        # whose lead is q - 1 reaches at least (q - 1)^3 at x = q - 1 once
+        # x^2 is multiplied in: below 2^64 for the first, so no reduction
+        # comes before that step, and above it for the second, which must
+        # reduce first.  That step only overflows at x near q - 1, so the
+        # roots are drawn from there.
+        assert ((q - 1) ** 3 + (q - 1) ** 2 + q - 1 < 2**64) == (q <= 2642246)
         rng = random.Random(q)
         roots = rng.sample(range(q - 16, q), 4)
         f = IntPoly((q - 1,))
@@ -177,21 +178,23 @@ class TestBruteForceOracle:
         # over the field F_q a product of distinct linear factors has
         # exactly their roots.  The bound above is that of one block of q
         # residues, where the scan runs on i = x with f's own coefficients
-        # (lo = 0).  At the default block q spans 128 blocks, the roots
+        # (lo = 0).  At the default block q spans 162 blocks, the roots
         # falling in the last, and the scan runs on the offset i < 2^14
         # with that block's Taylor coefficients, whose bound
-        # test_shifted_bound_at_the_default_block pins.  Both reduce
+        # test_shifted_uint64_bound_at_the_default_block pins.  Both reduce
         # mid-scan by floor division and test their hits by divisibility.
         assert q > 100 * congruence._BLOCK
         assert solve_congruence_bruteforce(f, 0, q) == sorted(roots)
         monkeypatch.setattr(congruence, "_BLOCK", q)
         assert solve_congruence_bruteforce(f, 0, q) == sorted(roots)
 
-    @pytest.mark.parametrize("q, reductions", [(2**21 + 249, 0), (2**21 + 269, 1)])
-    def test_shifted_bound_at_the_default_block(self, q, reductions, monkeypatch):
-        # Both are primes.  A degree-3 scan whose lead is q - 1 runs on the
+    @pytest.mark.parametrize("q, reductions", [(4194793, 0), (4194823, 1)])
+    def test_shifted_uint64_bound_at_the_default_block(self, q, reductions,
+                                                       monkeypatch):
+        # Both are primes, on either side of 4194817, the largest q whose
+        # bound below fits.  A degree-3 scan whose lead is q - 1 runs on the
         # offset i < s = 2^14 of each block, and its last step is bounded
-        # by (q - 1)(s^3 - 2 s^2 + 2 s): below 2^63 for the first, which
+        # by (q - 1)(s^3 - 2 s^2 + 2 s): below 2^64 for the first, which
         # never reduces, and above it for the second, which reduces once
         # per block, before that step.  The values are widest at i near
         # s - 1, so roots are planted at the ends of blocks.
@@ -199,7 +202,7 @@ class TestBruteForceOracle:
 
         s = congruence._BLOCK
         assert s == 2**14 and as_prime(q).p == q
-        assert ((q - 1) * (s**3 - 2 * s**2 + 2 * s) < 2**63) == (reductions == 0)
+        assert ((q - 1) * (s**3 - 2 * s**2 + 2 * s) < 2**64) == (reductions == 0)
         roots = [s - 1, 2 * s - 1, q - 1]
         f = IntPoly((q - 1,))
         for r in roots:
@@ -216,21 +219,22 @@ class TestBruteForceOracle:
         monkeypatch.setattr(np, "floor_divide", counting)
         # over F_q a product of distinct linear factors has exactly their
         # roots; (q - 1) x^3 has zero coefficients, but those of its blocks
-        # past the first are not, so the bound is the same
+        # past the first are not, and the bound covers every block
         assert congruence._bruteforce_vectorized(coeffs, 0, q) == roots
         assert congruence._bruteforce_vectorized([0, 0, 0, q - 1], 0, q) == [0]
         # an odd q tests its hits by multiplication, so each division is a
         # mid-scan reduction
         assert divisions == [q] * reductions * -(-q // s) * 2
 
-    @pytest.mark.parametrize("q", [509, 521])
-    def test_mid_scan_reduction_at_a_factor_below_2_10(self, q):
-        # Both are primes below 2^10.  A degree-7 scan whose lead is q - 1
-        # stays below 2^63 through its sixth step for the first, and
+    @pytest.mark.parametrize("q", [563, 569])
+    def test_mid_scan_uint64_reduction_at_a_factor_below_2_10(self, q):
+        # Both are primes below 2^10, on either side of 566, the largest q
+        # whose bound below fits.  A degree-7 scan whose lead is q - 1
+        # stays below 2^64 through its sixth step for the first, and
         # passes it there for the second, which must reduce before that
-        # step.  It passes 2^63 only at x near q - 1, so the roots are
+        # step.  It passes 2^64 only at x near q - 1, so the roots are
         # drawn from there.
-        assert (sum((q - 1) ** i for i in range(1, 8)) < 2**63) == (q < 2**9)
+        assert (sum((q - 1) ** i for i in range(1, 8)) < 2**64) == (q <= 566)
         roots = sorted(random.Random(q).sample(range(q - 16, q), 7))
         f = IntPoly((q - 1,))
         for r in roots:
@@ -500,7 +504,8 @@ class TestShiftedScan:
         for degree, shifted in ((0, True), (bound, True), (bound + 1, False)):
             starts.clear()
             congruence._bruteforce_vectorized([1] * (degree + 1), 0, q)
-            # the first block, at lo = 0, is scanned with f's own coefficients
+            # the first block, at lo = 0, takes f's own coefficients, its
+            # shift by 0, with no call
             assert starts == ([block, 2 * block, 3 * block] if shifted else [])
 
     @pytest.mark.parametrize("q", [4999, 5000, 3**8])
@@ -654,20 +659,32 @@ class TestScaledHitTest:
             assert congruence._bruteforce_vectorized(coeffs, 0, q) == expected
         assert len(masks) == 2
 
-    @pytest.mark.parametrize("lead, reductions", [(1, 0), (2**21 + 268, 1)])
-    def test_scaling_follows_the_last_reduction(self, lead, reductions, monkeypatch):
-        # the prime 2^21 + 269 at degree 3: with lead q - 1 each block
-        # reduces before its last step (test_shifted_bound_at_the_default_block
+    def test_scaled_terms_are_their_products_by_the_inverse(self):
+        # the first `cut` terms times q^-1 mod 2^64, each in [0, 2^64)
+        # as a uint64 holds it, and the rest as they are
+        rng = random.Random(149)
+        for q in (3, 65521, 3**19, 2**31 - 1):
+            terms = [rng.randrange(q) for _ in range(6)]
+            for cut in range(1, 7):
+                scaled = congruence._scaled(terms, pow(q, -1, 2**64), cut)
+                assert scaled == [c * pow(q, -1, 2**64) % 2**64
+                                  for c in terms[:cut]] + terms[cut:]
+
+    @pytest.mark.parametrize("lead, reductions", [(1, 0), (4194822, 1)])
+    def test_scaling_follows_the_last_uint64_reduction(self, lead, reductions,
+                                                       monkeypatch):
+        # the prime 4194823 at degree 3: with lead q - 1 each block reduces
+        # before its last step (test_shifted_uint64_bound_at_the_default_block
         # pins the bound), so only the constant is scaled and the reduction
         # leaves (acc mod q) * q^-1; with lead 1 it never reduces and every
         # coefficient is scaled.  Roots in the first block, on both sides
-        # of a boundary and in the short last block of 269 residues.
-        q, s = 2**21 + 269, congruence._BLOCK
-        assert as_prime(q).p == q and q % s == 269
+        # of a boundary and in the short last block of 519 residues.
+        q, s = 4194823, congruence._BLOCK
+        assert as_prime(q).p == q and q % s == 519
         divisions = count_calls(monkeypatch, "floor_divide")
         masks = count_calls(monkeypatch, "less_equal")
         blocks = -(-q // s)
-        for roots in ([5, s - 1, s], [77 * s - 1, 77 * s, q - 1], [q - 269, q - 2, q - 1]):
+        for roots in ([5, s - 1, s], [77 * s - 1, 77 * s, q - 1], [q - 519, q - 2, q - 1]):
             divisions.clear()
             masks.clear()
             coeffs = lead_times_roots(lead, q, roots)
@@ -741,18 +758,18 @@ class TestScannerPerFactor:
                 assert got == congruence._bruteforce_python(coeffs, c, q)
                 assert c != value or r in got
 
-    def test_divisibility_at_the_top_of_int64(self, monkeypatch):
-        # A degree-4 scan at the prime q = 2^21 - 9 with lead q - 1, in one
+    def test_divisibility_at_the_top_of_uint64(self, monkeypatch):
+        # A degree-4 scan at the prime q = 2642239 with lead q - 1, in one
         # block of q residues, so that it runs on i = x with f's own
         # coefficients, reduces once, before its third step, and its last
         # step then reaches up to (q - 1)^3 + (q - 1)^2 + (q - 1), within
-        # 2^-16 of 2^63 - 1.  The constant, after the target is taken into
+        # 2^-16.8 of 2^64.  The constant, after the target is taken into
         # it, is q - 1 too, so the final values are the widest the
         # divisibility test reads.  At the default block the scan runs on
-        # the offset i < 2^14 and stays further below 2^63.
-        q = 2**21 - 9
+        # the offset i < 2^14 and stays further below 2^64.
+        q = 2642239
         top = (q - 1) ** 3 + (q - 1) ** 2 + q - 1
-        assert 2**63 - 2**47 < top < 2**63 <= (q - 1) ** 4
+        assert 2**64 - 2**48 < top < 2**64 <= (q - 1) ** 4
         rng = random.Random(q)
         roots = rng.sample(range(q - 64, q), 3)
         roots.append(pow(math.prod(roots), -1, q))  # so the constant is q - 1
@@ -769,6 +786,38 @@ class TestScannerPerFactor:
             monkeypatch.setattr(congruence, "_BLOCK", block)
             assert congruence._bruteforce_vectorized(coeffs, 0, q) == sorted(roots)
             assert congruence._bruteforce_vectorized(folded, q - 1, q) == sorted(roots)
+
+    @pytest.mark.parametrize("q", [65521, 2 * 7 * 31 * 151])
+    @pytest.mark.parametrize("degree, block", [(3, 2**16), (4, 2**12)])
+    def test_final_values_above_2_63(self, q, degree, block, monkeypatch):
+        # Unreduced final values in [2^63, 2^64), which int64 would read as
+        # negative, at the odd prime 65521 and the even 65534, which does
+        # not divide 2^64, so that a wrap would move its remainders: in one
+        # block at degree 3, where (q - 1)^4 + ... + (q - 1) < 2^64, and in
+        # 16 blocks of s = 2^12 at degree 4, where (q - 1)(s^4 - 3 s^3 +
+        # ...) < 2^64 on the offset i < s.  Neither reduces mid-scan, so
+        # an odd q divides nothing and an even one once per block, for its
+        # hit test; a lead near q - 1 takes the values at the ends of the
+        # blocks past 2^63.
+        monkeypatch.setattr(congruence, "_BLOCK", block)
+        divisions = count_calls(monkeypatch, "floor_divide")
+        rng = random.Random(151 + q + degree)
+        ends = rng.sample([*range(block - 1, q - 8, block), *range(q - 8, q)], degree)
+        polys = [(ends, lead_times_roots(q - 1, q, ends)),
+                 ([], [rng.randrange(q - 8, q) for _ in range(degree + 1)])]
+        for roots, coeffs in polys:
+            for target in (0, rng.randrange(q)):
+                folded = [(coeffs[0] - target) % q, *coeffs[1:]]
+                widest = max(
+                    sum(c * (min(block, q - lo) - 1) ** j for j, c in
+                        enumerate(congruence._taylor_shift(folded, lo, q)))
+                    for lo in range(0, q, block))
+                assert 2**63 <= widest < 2**64
+                expected = congruence._bruteforce_python(coeffs, target, q)
+                assert target or set(roots) <= set(expected)
+                divisions.clear()
+                assert congruence._bruteforce_vectorized(coeffs, target, q) == expected
+                assert divisions == [q] * -(-q // block) * (q % 2 == 0)
 
     @pytest.mark.parametrize("q", [37, 1031, 3**7, 2**11])
     def test_sparse_polynomials_match_the_loop(self, q):
