@@ -226,14 +226,15 @@ class TestBruteForceOracle:
         # mid-scan reduction
         assert divisions == [q] * reductions * -(-q // s) * 2
 
-    @pytest.mark.parametrize("q", [563, 569])
-    def test_mid_scan_uint64_reduction_at_a_factor_below_2_10(self, q):
-        # Both are primes below 2^10, on either side of 566, the largest q
-        # whose bound below fits.  A degree-7 scan whose lead is q - 1
-        # stays below 2^64 through its sixth step for the first, and
-        # passes it there for the second, which must reduce before that
-        # step.  It passes 2^64 only at x near q - 1, so the roots are
-        # drawn from there.
+    @pytest.mark.parametrize("q", [509, 521, 563, 569])
+    def test_mid_scan_reduction_at_a_factor_below_2_10(self, q):
+        # All are primes below 2^10.  A degree-7 scan whose lead is q - 1
+        # stays below 2^64 through its sixth step for q <= 566, and passes
+        # it there for 569, which must reduce before that step.  509 and
+        # 521 straddle the same edge at 2^63, which a signed scan would
+        # have.  The sum passes either edge only at x near q - 1, so the
+        # roots are drawn from there.
+        assert (sum((q - 1) ** i for i in range(1, 8)) < 2**63) == (q < 2**9)
         assert (sum((q - 1) ** i for i in range(1, 8)) < 2**64) == (q <= 566)
         roots = sorted(random.Random(q).sample(range(q - 16, q), 7))
         f = IntPoly((q - 1,))
