@@ -17,15 +17,16 @@ over blocks of up to _BLOCK residues.  Up to degree _SHIFT_MAX_DEGREE
 it runs the rule on the offset i = x - lo from the block's start lo,
 with the coefficients of f(lo + i) mod the factor, a Taylor shift of f
 made per block (by 0 in the first); above it, on x.  It skips the
-addition of a zero coefficient and reduces mod the factor, by floor
-division, only before a step that an exact bound says could pass
-2^64 - 1.  x is a hit when the factor q divides its final value n.  An odd q runs the rule, from
-its last reduction on, on its coefficients times q^-1 mod 2^64, so the
-block ends on n * q^-1 mod 2^64, which is at most (2^64 - 1) // q
-exactly at the hits; a block of a factor of more than one block whose
-least value is above that holds none and builds no hit mask, so a
-shifted block without a hit takes 4, 6 and 8 passes at degree 2, 3 and
-4.  An even q tests its hits by one floor division.
+addition of a zero coefficient.  x is a hit when the factor q divides
+its final value n.  Every factor runs the rule on its coefficients
+times a scale s mod 2^64, q^-1 for an odd q and 2^64 / q for a power
+of 2, so each block ends on n * s mod 2^64, which is at most a limit,
+(2^64 - 1) // q or 0, exactly at the hits.  An odd q reduces mod q,
+by one floor division, only before a step that an exact bound says
+could pass 2^64 - 1; a power of 2 never reduces.  A block of a factor
+of more than one block whose least value is above the limit holds
+none and builds no hit mask, so a shifted block without a hit takes
+4, 6 and 8 passes at degree 2, 3 and 4.
 """
 
 from __future__ import annotations
@@ -99,32 +100,34 @@ DEFAULT_ORACLE_BOUND = 10**7
 # degree 3 to 12 (1.08 at x^5 - x), but 0.93 to 1.03 at 14 to 32 and
 # 1.18 at x^100 - x.
 #
-# The scan runs in uint64, whose arithmetic wraps mod 2^64.  Mid-scan it
-# reduces as acc - (acc // q) * q; numpy divides by a scalar through
-# libdivide, and an unsigned division cost 9.7 us on 2^14 entries where
-# a signed one cost 15.7 us (numpy 2.4.6).  The target is taken into the
-# constant term, as (c_0 - target) mod q, so x is a hit exactly when q
-# divides the final value n, which the bound keeps in [0, 2^64).  For
-# odd q, n -> n * q^-1 mod 2^64 permutes [0, 2^64) and takes k * q to k,
-# so it sends the multiples of q below 2^64 onto [0, (2^64 - 1) // q]
-# and every other n above it (Granlund and Montgomery, PLDI 1994;
-# Lemire, Kaser and Kurz, SPE 49(6), 2019).  Reduction mod 2^64 commutes
-# with Horner's rule, so the scan makes n * q^-1 with no pass of its
-# own: from the last reduction on (from the first step, if there is
-# none) it runs the rule on the coefficients times q^-1 mod 2^64, lead *
-# i included when it is made once per call.  The last reduction takes
-# (acc mod q) * q^-1 as acc * q^-1 - acc // q, in as many passes as
-# acc - (acc // q) * q.  A factor of more than one block holds its
-# solutions in a few of its blocks at most (a prime one has at most d of
-# them), so each block takes its min() first, and only a block whose
-# min() is at most the limit builds the hit mask and its index list: at
-# q = 347227 a block's mask took 5.8 to 6.8 us and its list 2.8 to 3.3
-# us, the min() 2.7 to 3.2 us.  A factor of one block builds its mask
-# with no min() first, as in oracle_scan every factor holds a solution,
-# and takes the scaled coefficients too: the oracle_scan calls whose
-# factors all fit one block took 0.96 to 1.00 of the time in process.
-# An even q has no inverse mod 2^64: x is a hit there when
-# acc == (acc // q) * q.
+# The scan runs in uint64, whose arithmetic wraps mod 2^64.  The target
+# is taken into the constant term, as (c_0 - target) mod q, so x is a
+# hit exactly when q divides the final value n.  Reduction mod 2^64
+# commutes with Horner's rule, so the rule run on the coefficients times
+# a scale s mod 2^64, lead * i included when it is made once per call,
+# ends on n * s mod 2^64 with no pass of its own.  The oracle's factors
+# are prime powers, so q is odd or a power of 2.  For odd q, s = q^-1
+# mod 2^64: n -> n * s permutes [0, 2^64) and takes k * q to k, so it
+# sends the multiples of q below 2^64 onto [0, (2^64 - 1) // q] and
+# every other n above it (Granlund and Montgomery, PLDI 1994; Lemire,
+# Kaser and Kurz, SPE 49(6), 2019).  The bound keeps n and every value
+# before it in [0, 2^64), so acc * q mod 2^64 is the value v itself,
+# and a mid-scan reduction leaves (v mod q) * s as acc - (acc * q) // q,
+# in as many passes as v - (v // q) * q on the unscaled value.  numpy
+# divides by a scalar through libdivide, and an unsigned division cost
+# 9.7 us on 2^14 entries where a signed one cost 15.7 us (numpy 2.4.6).
+# For q = 2^e, which divides 2^64, wrapping mod 2^64 keeps n mod q, so
+# the scan never reduces, and with s = 2^(64 - e) the multiples of q
+# are exactly the n with n * s = 0 mod 2^64.  A factor of more than one
+# block holds its solutions in a few of its blocks at most (a prime one
+# has at most d of them), so each block takes its min() first, and
+# only a block whose min() is at most the limit builds the hit mask and
+# its index list: at q = 347227 a block's mask took 5.8 to 6.8 us and
+# its list 2.8 to 3.3 us, the min() 2.7 to 3.2 us.  A factor of one
+# block builds its mask with no min() first, as in oracle_scan every
+# factor holds a solution: the oracle_scan calls whose factors all fit
+# one block took 0.96 to 1.00 of the time in process that they took
+# with a hit test by floor division.
 _VECTOR_MIN = 2**16
 _VECTOR_MAX = 2**31
 _BLOCK = 2**14
@@ -213,25 +216,25 @@ def _bruteforce_python(coeffs: list[int], target: int, m: int) -> list[int]:
 
 
 def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
-    # Horner over each block at once, in place, in uint64, reducing mod m
-    # only where a step could pass 2^64 - 1.  The target is taken into the
+    # Horner over each block at once, in place, in uint64.  m is odd or a
+    # power of 2, as every prime power is.  The target is taken into the
     # constant term, as (c_0 - target) mod m, so x is a hit exactly when m
     # divides its final value n, as the comment above _VECTOR_MIN explains.
     # Up to degree _SHIFT_MAX_DEGREE every block, starting at lo, runs the
     # rule on its offset i = x - lo < size, with the coefficients of
     # f(lo + i) mod m (f's own in the first block, the shift by 0), and
     # starts from lead * i, the same in every block; above that degree
-    # every block runs it on x with f's own coefficients.  The rule reads
-    # values in [0, top] and coefficients in [0, m), so `bound`, an exact
-    # upper bound on n and on every value before it, decides before which
-    # steps to reduce; the same steps serve every block.  For odd m the
-    # steps from the last reduction on (from the first, if there is none)
-    # add coefficients times m^-1 mod 2^64, and that reduction leaves
-    # (acc mod m) * m^-1, so acc ends, wrapping mod 2^64, on n * m^-1: a
-    # hit when it is at most `limit`.  A block of an m of more than one
-    # block whose min() is above `limit` holds no hit and builds no mask:
-    # a shifted block without a hit takes 2d - 1 passes of the rule and
-    # the min(), 4, 6 and 8 at degree 2, 3 and 4.
+    # every block runs it on x with f's own coefficients.  Every term is
+    # scaled by `scale`, so acc holds the value times `scale` mod 2^64
+    # throughout and ends on n * scale: a hit when it is at most `limit`.
+    # The rule reads values in [0, top] and coefficients in [0, m), so
+    # `bound`, an exact upper bound on n and on every value before it,
+    # decides before which steps an odd m reduces; the same steps serve
+    # every block.  A power of 2 divides 2^64, so its values need no
+    # reduction.  A block of an m of more than one block whose min() is
+    # above `limit` holds no hit and builds no mask: a shifted block
+    # without a hit takes 2d - 1 passes of the rule and the min(), 4, 6
+    # and 8 at degree 2, 3 and 4.
     import numpy as np
 
     coeffs = [((coeffs[0] if coeffs else 0) - target) % m, *coeffs[1:]]
@@ -239,8 +242,8 @@ def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
     size = min(m, _BLOCK)
     shift = len(coeffs) - 1 <= _SHIFT_MAX_DEGREE
     top = size - 1 if shift else m - 1
+    odd = m % 2 == 1
     wide = []
-    last = -1  # the step of the last reduction
     bound = lead
     for c in reversed(coeffs[:-1]):
         # a shifted block's coefficients can be anything below m
@@ -251,20 +254,13 @@ def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
         # fits.
         reduce = bound * top + c > 2**64 - 1
         if reduce:
-            last = len(wide)
             bound = m - 1
-        wide.append(reduce)
+        wide.append(odd and reduce)
         bound = bound * top + c
-    odd = m % 2 == 1
-    if odd:
-        # acc ends on n * m^-1 mod 2^64
-        inverse = pow(m, -1, 2**64)
-        limit = (2**64 - 1) // m
-        # step j adds the coefficient of x^(d - 1 - j), so the steps from
-        # the last reduction on add the first `cut` coefficients
-        cut = len(coeffs) - 1 - last
-        if last >= 0:
-            wide[last] = 2  # this reduction also scales acc by m^-1
+    if odd:  # n * m^-1 mod 2^64 is at most `limit` exactly when m divides n
+        scale, limit = pow(m, -1, 2**64), (2**64 - 1) // m
+    else:  # n * 2^64 / m mod 2^64 is 0 exactly when m divides n
+        scale, limit = 2**64 // m, 0
     base, second, acc, quot, found = (b[:size] for b in _block_buffers(np))
     hits = []
     for lo in range(0, m, size):
@@ -275,8 +271,7 @@ def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
             xs, terms = base, _taylor_shift(coeffs, lo, m) if lo else coeffs
         else:
             xs, terms = np.add(base, lo, out=second), coeffs
-        if odd:
-            terms = _scaled(terms, inverse, cut)
+        terms = [c * scale % 2**64 for c in terms]
         # the first step never overflows: lead * top + c < m^2 <= 2^62
         if len(terms) == 1:
             acc.fill(terms[0])
@@ -289,32 +284,20 @@ def _bruteforce_vectorized(coeffs: list[int], target: int, m: int) -> list[int]:
             if terms[-2]:
                 acc += terms[-2]
         for reduce, c in zip(wide[1:], terms[-3::-1]):
+            # acc * m mod 2^64 is the value v: acc - v // m = (v mod m) * m^-1
             if reduce:
-                np.floor_divide(acc, m, out=quot)
-                if reduce == 2:  # acc * m^-1 - acc // m = (acc mod m) * m^-1
-                    acc *= inverse
-                else:
-                    np.multiply(quot, m, out=quot)
+                np.multiply(acc, m, out=quot)
+                np.floor_divide(quot, m, out=quot)
                 acc -= quot
             np.multiply(acc, xs, out=acc)
             if c:
                 acc += c
-        if not odd:
-            np.floor_divide(acc, m, out=quot)
-            np.multiply(quot, m, out=quot)
-            np.equal(acc, quot, out=found)
         # compared as an int: numpy 1.x makes float64 of a uint64 and an int
-        elif m > size and int(acc.min()) > limit:
+        if m > size and int(acc.min()) > limit:
             continue  # no multiple of m in this block
-        else:
-            np.less_equal(acc, limit, out=found)
+        np.less_equal(acc, limit, out=found)
         hits += (found.nonzero()[0] + lo).tolist()
     return hits
-
-
-def _scaled(terms: list[int], inverse: int, cut: int) -> list[int]:
-    """terms[:cut] times inverse mod 2^64, and terms[cut:] as they are."""
-    return [c * inverse % 2**64 for c in terms[:cut]] + terms[cut:]
 
 
 def _taylor_shift(coeffs: list[int], a: int, m: int) -> list[int]:
@@ -407,14 +390,15 @@ def solve_congruence_bruteforce(
     every factor takes the loop.  The numpy scan runs Horner's rule in
     uint64 over blocks of 2^14 residues; up to degree 12 each block
     evaluates f shifted to the block's start at the offsets from it,
-    which keeps its values narrow.  An odd factor evaluates f times its
-    inverse mod 2^64, where its multiples are the least values, so a
-    block whose least value is above them is passed over without
-    listing anything: 4, 6 and 8 passes over a shifted block at degree
-    2, 3 and 4.  Any modulus >= 2 is accepted up to
-    `bound` (default 10^7), which keeps exhaustion tractable.  More than
-    `max_solutions` solutions, when it is given, are refused before they
-    are joined: the zero polynomial has m of them.
+    which keeps its values narrow.  A factor evaluates f times its
+    inverse mod 2^64 if it is odd, or times 2^64 / q if it is a power q
+    of 2, which puts its multiples at the least values, so a block whose
+    least value is above them is passed over without listing anything:
+    4, 6 and 8 passes over a shifted block at degree 2, 3 and 4.  Any
+    modulus >= 2 is accepted up to `bound` (default 10^7), which keeps
+    exhaustion tractable.  More than `max_solutions` solutions, when it
+    is given, are refused before they are joined: the zero polynomial
+    has m of them.
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")

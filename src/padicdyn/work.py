@@ -177,19 +177,19 @@ def oracle(f: IntPoly, m: int) -> int:
     residue per coefficient in all.  Each block of up to _BLOCK residues
     of a numpy-scanned factor is also charged two numpy calls per
     coefficient and two more for its hit test, each 0.7 to 1.5 us
-    whatever its length, at 2 us.  An odd q's block ends on its values
-    times q^-1 mod 2^64 and takes their min(), and builds a mask only
-    where that shows a hit: a shifted block without one makes 4, 6 and
-    8 calls at degree 2, 3 and 4.  Up to degree _SHIFT_MAX_DEGREE the
-    charge also covers the block's Taylor shift and the scaling of its
-    coefficients by q^-1 in Python, d(d + 1) / 2 + d + 1 multiply-adds
-    of about 0.1 us.  Each factor is charged by the scanner the oracle
-    gives it, numpy or the loop, as _numpy_scans decides.  Finding the
-    factors by trial division tries at most isqrt(m) / 2 + 1 divisors,
-    about 140 ns each.  (numpy's import, about 0.15 s, is left to the
-    limit's margin.)  The numpy scan skips the addition of a zero
-    coefficient, which the estimate still charges, so it over-charges a
-    sparse f, which is safe."""
+    whatever its length, at 2 us.  A block ends on its values times
+    q^-1 mod 2^64 for an odd q, or 2^64 / q for a power of 2, and takes
+    their min(), and builds a mask only where that shows a hit: a
+    shifted block without one makes 4, 6 and 8 calls at degree 2, 3 and
+    4.  Up to degree _SHIFT_MAX_DEGREE the charge also covers the
+    block's Taylor shift and the scaling of its coefficients in Python,
+    d(d + 1) / 2 + d + 1 multiply-adds of about 0.1 us.  Each factor is
+    charged by the scanner the oracle gives it, numpy or the loop, as
+    _numpy_scans decides.  Finding the factors by trial division tries
+    at most isqrt(m) / 2 + 1 divisors, about 140 ns each.  (numpy's
+    import, about 0.15 s, is left to the limit's margin.)  The numpy
+    scan skips the addition of a zero coefficient, which the estimate
+    still charges, so it over-charges a sparse f, which is safe."""
     terms = max(f.degree + 1, 1)
     factors = _prime_power_factors(m)
     vectorized = [q for q in factors if _numpy_scans(q, m)]

@@ -140,16 +140,17 @@ class TestBruteForceOracle:
         from padicdyn import congruence
 
         cases = []
+        # the scan's factors are prime powers, so m is odd here
         for _ in range(20):
             f = random_int_poly(rng, 5, -100, 100)
-            m = rng.randint(4100, 6000)
+            m = rng.randrange(4101, 6001, 2)
             c = rng.randint(0, m - 1)
             cases.append(([x % m for x in f.coeffs], c, m, None))
         # coefficients and x near m >= 2^16 make the numpy scan's values
         # widest, so it reduces at nearly every step it may; a root is
         # planted near m
         for degree in (2, 3, 4, 5):
-            m = rng.randrange(2**16, 2**17)
+            m = rng.randrange(2**16 + 1, 2**17, 2)
             coeffs = [rng.randrange(m - 50, m) for _ in range(degree + 1)]
             r = rng.randrange(m - 1000, m)
             c = sum(x * r**i for i, x in enumerate(coeffs)) % m
@@ -182,7 +183,7 @@ class TestBruteForceOracle:
         # falling in the last, and the scan runs on the offset i < 2^14
         # with that block's Taylor coefficients, whose bound
         # test_shifted_uint64_bound_at_the_default_block pins.  Both reduce
-        # mid-scan by floor division and test their hits by divisibility.
+        # mid-scan by floor division.
         assert q > 100 * congruence._BLOCK
         assert solve_congruence_bruteforce(f, 0, q) == sorted(roots)
         monkeypatch.setattr(congruence, "_BLOCK", q)
@@ -222,8 +223,8 @@ class TestBruteForceOracle:
         # past the first are not, and the bound covers every block
         assert congruence._bruteforce_vectorized(coeffs, 0, q) == roots
         assert congruence._bruteforce_vectorized([0, 0, 0, q - 1], 0, q) == [0]
-        # an odd q tests its hits by multiplication, so each division is a
-        # mid-scan reduction
+        # the hit test divides nothing, so each division is a mid-scan
+        # reduction
         assert divisions == [q] * reductions * -(-q // s) * 2
 
     @pytest.mark.parametrize("q", [509, 521, 563, 569])
@@ -423,7 +424,7 @@ class TestBlockedScan:
     def test_block_size_does_not_change_the_answer(self, monkeypatch):
         rng = random.Random(101)
         for _ in range(6):
-            q = rng.randrange(20_000, 60_000)
+            q = rng.randrange(20_001, 60_000, 2)  # odd, as a scanned factor is
             coeffs = [rng.randrange(q) for _ in range(rng.randint(2, 5))]
             r = rng.randrange(q)
             c = sum(x * r**i for i, x in enumerate(coeffs)) % q
@@ -453,9 +454,11 @@ class TestBlockedScan:
         # numpy drops the GIL inside its loops, so shared buffers would mix
         # the blocks of two scans
         rng = random.Random(103)
+        block = congruence._BLOCK
         cases = []
-        for _ in range(8):
-            q = rng.randrange(3 * congruence._BLOCK, 5 * congruence._BLOCK)
+        for k in range(8):
+            # odd, or 2^16 = 4 * 2^14, as a scanned factor is
+            q = rng.randrange(3 * block + 1, 5 * block, 2) if k else 4 * block
             coeffs = [rng.randrange(q) for _ in range(rng.randint(2, 5))]
             cases.append((coeffs, rng.randrange(q), q))
         expected = [congruence._bruteforce_python(*case) for case in cases]
@@ -509,11 +512,11 @@ class TestShiftedScan:
             # shift by 0, with no call
             assert starts == ([block, 2 * block, 3 * block] if shifted else [])
 
-    @pytest.mark.parametrize("q", [4999, 5000, 3**8])
+    @pytest.mark.parametrize("q", [4999, 2**12, 3**8])
     def test_matches_the_loop_at_every_degree_over_many_blocks(self, q, monkeypatch):
-        # blocks of 997 residues: 6 or 7 of them, the last one short.  The
-        # prime 4999 and 3^8 test their hits by their inverse mod 2^64,
-        # 5000 by floor division.  Each f is scanned with no block shifted,
+        # blocks of 997 residues: 5 to 7 of them, the last one short.  The
+        # prime 4999 and 3^8 scale their values by their inverse mod 2^64,
+        # 2^12 by 2^64 / 2^12.  Each f is scanned with no block shifted,
         # with every block shifted, and with the degree bound as it is, to
         # one degree past the bound.
         monkeypatch.setattr(congruence, "_BLOCK", 997)
@@ -578,11 +581,11 @@ def count_calls(monkeypatch, name):
 
 
 class TestScaledHitTest:
-    """An odd factor runs Horner's rule, from its last reduction on (from
-    the first step if there is none), on coefficients times q^-1 mod 2^64,
-    so each block ends on n * q^-1 and holds a solution exactly when its
-    least value is at most (2^64 - 1) // q.  Only such a block of a factor
-    of more than one block builds the hit mask."""
+    """Every factor runs Horner's rule on its coefficients times a scale
+    mod 2^64, q^-1 for an odd q and 2^64 / q for a power of 2, so each
+    block ends on n times the scale and holds a solution exactly when its
+    least value is at most a limit, (2^64 - 1) // q or 0.  Only such a
+    block of a factor of more than one block builds the hit mask."""
 
     @pytest.mark.parametrize("q, block", [
         (4999, 997),  # prime: 5 blocks of 997 and one of 14
@@ -660,26 +663,16 @@ class TestScaledHitTest:
             assert congruence._bruteforce_vectorized(coeffs, 0, q) == expected
         assert len(masks) == 2
 
-    def test_scaled_terms_are_their_products_by_the_inverse(self):
-        # the first `cut` terms times q^-1 mod 2^64, each in [0, 2^64)
-        # as a uint64 holds it, and the rest as they are
-        rng = random.Random(149)
-        for q in (3, 65521, 3**19, 2**31 - 1):
-            terms = [rng.randrange(q) for _ in range(6)]
-            for cut in range(1, 7):
-                scaled = congruence._scaled(terms, pow(q, -1, 2**64), cut)
-                assert scaled == [c * pow(q, -1, 2**64) % 2**64
-                                  for c in terms[:cut]] + terms[cut:]
-
     @pytest.mark.parametrize("lead, reductions", [(1, 0), (4194822, 1)])
-    def test_scaling_follows_the_last_uint64_reduction(self, lead, reductions,
-                                                       monkeypatch):
-        # the prime 4194823 at degree 3: with lead q - 1 each block reduces
-        # before its last step (test_shifted_uint64_bound_at_the_default_block
-        # pins the bound), so only the constant is scaled and the reduction
-        # leaves (acc mod q) * q^-1; with lead 1 it never reduces and every
-        # coefficient is scaled.  Roots in the first block, on both sides
-        # of a boundary and in the short last block of 519 residues.
+    def test_scaled_reduction_at_the_uint64_bound(self, lead, reductions,
+                                                  monkeypatch):
+        # the prime 4194823 at degree 3, every coefficient scaled by q^-1
+        # mod 2^64: with lead q - 1 each block reduces before its last step
+        # (test_shifted_uint64_bound_at_the_default_block pins the bound),
+        # where acc * q mod 2^64 is the unscaled value v and acc - v // q
+        # leaves (v mod q) * q^-1; with lead 1 it never reduces.  Roots in
+        # the first block, on both sides of a boundary and in the short
+        # last block of 519 residues.
         q, s = 4194823, congruence._BLOCK
         assert as_prime(q).p == q and q % s == 519
         divisions = count_calls(monkeypatch, "floor_divide")
@@ -695,6 +688,56 @@ class TestScaledHitTest:
             assert divisions == [q] * reductions * blocks
             assert len(masks) == len({r // s for r in roots})
 
+    @pytest.mark.parametrize("e", [6, 11, 14, 17, 20])
+    def test_a_power_of_2_makes_no_division(self, e, monkeypatch):
+        # 2^e divides 2^64, so wrapping mod 2^64 keeps every value mod q:
+        # the scan never reduces, and its values times 2^64 / q are 0
+        # exactly at the hits, so no hit test divides either.  Degrees 0 to
+        # 16 run shifted blocks and, above 12, blocks on x; coefficients
+        # near q take the values past 2^64.
+        q = 2**e
+        divisions = count_calls(monkeypatch, "floor_divide")
+        rng = random.Random(157 + e)
+        for degree in range(17):
+            coeffs = [rng.randrange(q - 8, q) for _ in range(degree + 1)]
+            r = rng.randrange(q)
+            value = sum(c * r**i for i, c in enumerate(coeffs)) % q
+            expected = loop_mod_a_power_of_2(coeffs, value, q)
+            assert r in expected
+            assert congruence._bruteforce_vectorized(coeffs, value, q) == expected
+        size = min(q, congruence._BLOCK)
+        assert sum(c * (size - 1) ** i for i, c in enumerate(coeffs)) >= 2**64
+        assert divisions == []
+
+    @pytest.mark.parametrize("r1, r2", [(5, 5 * 2**14 + 2), (2**14 - 1, 2**14),
+                                        (0, 2**17 - 1), (3 * 2**14 + 7, 6 * 2**14)])
+    def test_a_power_of_2_builds_masks_only_where_a_solution_is(self, r1, r2,
+                                                               monkeypatch):
+        # 2^17 spans 8 blocks.  With r1 - r2 odd, one of x - r1 and x - r2
+        # is odd, so 2^17 divides (x - r1)(x - r2) only at x = r1 or r2,
+        # and only their blocks build the hit mask.
+        q, block = 2**17, congruence._BLOCK
+        assert (r1 - r2) % 2 == 1 and r1 // block != r2 // block
+        masks = count_calls(monkeypatch, "less_equal")
+        coeffs = lead_times_roots(1, q, [r1, r2])
+        for target in (0, 12345):
+            moved = [(coeffs[0] + target) % q, *coeffs[1:]]
+            masks.clear()
+            assert congruence._bruteforce_vectorized(moved, target, q) == sorted([r1, r2])
+            assert masks == [0, 0]
+
+
+def loop_mod_a_power_of_2(coeffs, target, q):
+    """_bruteforce_python's answer at q = 2^e, with the loop run at no
+    more than 2^14 residues: x solves f = target mod q only if x mod 2^14
+    solves it mod 2^14, so checking every lift of those solutions mod q
+    finds all of them.  (The loop over 2^20 residues at degrees 0 to 16
+    would take about 15 s.)"""
+    low = min(q, 2**14)
+    f = IntPoly(tuple(coeffs))
+    return sorted(x for a in congruence._bruteforce_python(coeffs, target % low, low)
+                  for x in range(a, q, low) if eval_mod(f, x, q) == target % q)
+
 
 class TestScannerPerFactor:
     @pytest.mark.parametrize("q", [
@@ -702,12 +745,12 @@ class TestScannerPerFactor:
         2**10 - 1, 2**10,
         # primes around 2^10 and odd prime powers above it
         1019, 1021, 1031, 1033, 3**7, 7**4, 5**5,
-        2**11,  # even: no inverse mod 2^64, so tested by floor division
+        2**11,  # no inverse mod 2^64, so scaled by 2^64 / 2^11
     ])
     def test_loop_and_numpy_agree_around_the_cutoffs(self, q):
         # the largest factor the loop takes and the smallest numpy takes,
-        # and odd and even factors on both sides of 2^10; neither scanner
-        # needs q to be a prime power
+        # and odd factors and powers of 2 on both sides of 2^10; the numpy
+        # scan needs q odd or a power of 2, not a prime power
         rng = random.Random(107 + q)
         polys = [[], [rng.randrange(q)], [q - 1]]  # zero and constants
         for degree in range(6):
@@ -746,7 +789,7 @@ class TestScannerPerFactor:
 
     @pytest.mark.parametrize("q", [2**17, 2**17 + 29])
     def test_loop_and_numpy_agree_over_many_blocks(self, q):
-        # 2^17 tests its hits by floor division, the prime 2^17 + 29 by
+        # 2^17 scales its values by 2^64 / 2^17, the prime 2^17 + 29 by
         # its inverse mod 2^64; both span 8 or 9 blocks, with a root
         # planted in the last
         rng = random.Random(109 + q)
@@ -788,18 +831,16 @@ class TestScannerPerFactor:
             assert congruence._bruteforce_vectorized(coeffs, 0, q) == sorted(roots)
             assert congruence._bruteforce_vectorized(folded, q - 1, q) == sorted(roots)
 
-    @pytest.mark.parametrize("q", [65521, 2 * 7 * 31 * 151])
+    @pytest.mark.parametrize("q", [65521, 2**16])
     @pytest.mark.parametrize("degree, block", [(3, 2**16), (4, 2**12)])
     def test_final_values_above_2_63(self, q, degree, block, monkeypatch):
         # Unreduced final values in [2^63, 2^64), which int64 would read as
-        # negative, at the odd prime 65521 and the even 65534, which does
-        # not divide 2^64, so that a wrap would move its remainders: in one
-        # block at degree 3, where (q - 1)^4 + ... + (q - 1) < 2^64, and in
-        # 16 blocks of s = 2^12 at degree 4, where (q - 1)(s^4 - 3 s^3 +
-        # ...) < 2^64 on the offset i < s.  Neither reduces mid-scan, so
-        # an odd q divides nothing and an even one once per block, for its
-        # hit test; a lead near q - 1 takes the values at the ends of the
-        # blocks past 2^63.
+        # negative, at the odd prime 65521 and at 2^16: in one block at
+        # degree 3, where (q - 1)^4 + ... + (q - 1) < 2^64, and in 16
+        # blocks of s = 2^12 at degree 4, where (q - 1)(s^4 - 3 s^3 + ...)
+        # < 2^64 on the offset i < s.  Neither reduces mid-scan, and no hit
+        # test divides, so neither makes a division; a lead near q - 1
+        # takes the values at the ends of the blocks past 2^63.
         monkeypatch.setattr(congruence, "_BLOCK", block)
         divisions = count_calls(monkeypatch, "floor_divide")
         rng = random.Random(151 + q + degree)
@@ -818,7 +859,7 @@ class TestScannerPerFactor:
                 assert target or set(roots) <= set(expected)
                 divisions.clear()
                 assert congruence._bruteforce_vectorized(coeffs, target, q) == expected
-                assert divisions == [q] * -(-q // block) * (q % 2 == 0)
+                assert divisions == []
 
     @pytest.mark.parametrize("q", [37, 1031, 3**7, 2**11])
     def test_sparse_polynomials_match_the_loop(self, q):
