@@ -79,14 +79,17 @@ def _check_modulus_size(p: int, k: int, allow_large: bool) -> None:
 
 def _as_prime(p: int) -> Prime:
     # the primality test alone takes seconds for a p of a few thousand
-    # bits; its trial division by the primes below 256 does not, and
-    # rejects a composite they divide before the charge.  A test over the
-    # limit whose first round alone fits runs that round before it is
-    # refused, and reports a composite that fails it as not prime
+    # bits; its trial division by the primes below 256 does not, so a
+    # composite they divide is rejected before the charge.  A test over
+    # the limit first runs the rounds the limit pays for, each charged a
+    # twelfth of work.prime, and reports a composite that fails one as
+    # not prime; a p that passes them all, or that no round fits, is
+    # refused.  (One round is not enough: every 2^q - 1 with q prime
+    # passes the round to base 2, composite or not.)
     if not any(p % q == 0 for q in _SMALL_PRIMES):
         steps = work.prime(p)
-        one_round = steps // len(_MR_WITNESSES)
-        if one_round <= work.MAX_WORK < steps and not _miller_rabin_round(p, 2):
+        fit = _MR_WITNESSES[: work.MAX_WORK * len(_MR_WITNESSES) // steps]
+        if steps > work.MAX_WORK and not all(_miller_rabin_round(p, a) for a in fit):
             raise NotPrimeError(f"{p} is not prime")
         work.check(steps, "the primality test")
     return as_prime(p)

@@ -37,7 +37,7 @@ from typing import Union
 
 from .errors import PadicDynError
 from .padic import Frozen, Prime, as_prime
-from .polynomial import FpPoly, IntPoly, horner_mod, reduce_mod_p
+from .polynomial import FpPoly, IntPoly, derivative_coeffs, horner_mod, reduce_mod_p
 
 DEFAULT_ORACLE_BOUND = 10**7
 
@@ -192,7 +192,7 @@ def roots_mod_p(f: IntPoly, target: int, p: Union[int, Prime]) -> list[RootModP]
                 f"all of them is refused above {DEFAULT_NODE_BUDGET}"
             )
         return [RootModP(a, True, 0) for a in range(q)]
-    dh = [i * c for i, c in enumerate(h.coeffs) if i]
+    dh = derivative_coeffs(h.coeffs)
     out = []
     for a in h.roots():
         d = horner_mod(dh, a, q)

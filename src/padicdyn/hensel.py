@@ -11,11 +11,11 @@ p^j form the root's PadicInt ladder, read on demand.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Union
 
 from .errors import NotARootError, SingularRootError
 from .padic import CoherentSequence, Frozen, PadicInt, Prime, as_prime
-from .polynomial import IntPoly, eval_mod, horner_mod
+from .polynomial import IntPoly, derivative_coeffs, eval_mod, horner_mod
 
 
 class LiftedRoot(Frozen):
@@ -72,17 +72,12 @@ def hensel_step(f: IntPoly, a: int, j: int, p: Union[int, Prime]) -> int:
     residue = eval_mod(f, a, step_mod)
     if residue % q**j != 0:
         raise NotARootError(f"{a} is not a root modulo {q}^{j}")
-    d = horner_mod(_derivative(f.coeffs), a % q, q)
+    d = horner_mod(derivative_coeffs(f.coeffs), a % q, q)
     if d == 0:
         raise SingularRootError(
             f"derivative vanishes at {a} mod {q}: no unique lift exists"
         )
     return (a - residue * pow(d, -1, q)) % step_mod
-
-
-def _derivative(coeffs: Sequence[int]) -> list[int]:
-    """The coefficients of the derivative, constant first."""
-    return [i * c for i, c in enumerate(coeffs) if i]
 
 
 def hensel_lift(
@@ -127,7 +122,7 @@ def hensel_lift(
     a = a0 % q
     if horner_mod(g, a, q) != 0:
         raise NotARootError(f"seed {a0} is not a root of the congruence modulo {q}")
-    d = horner_mod(_derivative(g), a, q)
+    d = horner_mod(derivative_coeffs(g), a, q)
     if d == 0:
         raise SingularRootError(
             f"seed {a0} is singular mod {q}: no unique lift exists"
@@ -138,6 +133,6 @@ def hensel_lift(
         for (m, g), (next_m, next_g) in zip(stages[1:], stages[2:]):
             # s is g'(a)^-1 mod p^ceil(j/2); one Newton update makes it
             # exact mod p^j, which is all the step to p^J, J <= 2j, needs.
-            s = s * (2 - horner_mod(_derivative(g), a, m) * s) % m
+            s = s * (2 - horner_mod(derivative_coeffs(g), a, m) * s) % m
             a = (a - horner_mod(next_g, a, next_m) * s) % next_m
     return LiftedRoot(prime, a, k, f, target % stages[-1][0])

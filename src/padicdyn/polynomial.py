@@ -153,7 +153,7 @@ class IntPoly(_Poly):
 
     def derivative(self) -> "IntPoly":
         """Formal derivative sum(i * c_i * x^(i-1))."""
-        return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
+        return IntPoly(derivative_coeffs(self.coeffs))
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -164,6 +164,11 @@ def eval_mod(f: IntPoly, x: int, m: int) -> int:
     if m < 2:
         raise ValueError("modulus must be at least 2")
     return horner_mod(f.coeffs, x % m, m)
+
+
+def derivative_coeffs(coeffs: Sequence[int]) -> list[int]:
+    """The coefficients of the derivative, constant first."""
+    return [i * c for i, c in enumerate(coeffs) if i]
 
 
 def horner_mod(coeffs: Sequence[int], x: int, m: int) -> int:

@@ -365,18 +365,25 @@ class TestWorkLimits:
             (2**3000, "NotPrimeError"),  # even: trial division rejects it
             (3 * 2**3000 + 3, "NotPrimeError"),
             (9, "NotPrimeError"),
-            (2**3217 - 1, "BudgetExceededError"),  # prime, over the limit
+            (2**3217 - 1, "BudgetExceededError"),  # prime; four rounds fit
             # 903 digits: trial division by 41 rejects it
             (composite_no_witness_divides(), "NotPrimeError"),
-            # 904 digits, no prime below 256 divides it: its base-2 round
-            # fits the limit and rejects it
+            # 904 digits, no prime below 256 divides it: six of its rounds
+            # fit the limit, and the first rejects it
             (composite_no_witness_divides(257), "NotPrimeError"),
-            # 4300 digits: trial division by 41 rejects it; its base-2
-            # round alone is over the limit
+            # 4300 digits: trial division by 41 rejects it; no round of
+            # its test fits the limit
             (41 * (10**4298 + 7), "NotPrimeError"),
+            # n = 2^q - 1 with q prime passes the base-2 round, composite
+            # or not: n - 1 = 2(2^(q-1) - 1), and q divides 2^(q-1) - 1, so
+            # 2^((n-1)/2) = 1 mod n as 2^q = 1 mod n.  No prime below 256
+            # divides these (each factor is 1 mod 2q); 11 and 2 rounds fit
+            (2**2357 - 1, "NotPrimeError"),
+            (2**4201 - 1, "NotPrimeError"),
+            (2**4423 - 1, "BudgetExceededError"),  # prime; two rounds fit
         ],
         ids=["2^3000", "3(2^3000+1)", "9", "2^3217-1", "41(2^2994+j)", "257(2^2994+j)",
-             "41(10^4298+7)"],
+             "41(10^4298+7)", "2^2357-1", "2^4201-1", "2^4423-1"],
     )
     def test_prime_a_witness_divides_is_not_charged(self, prime, error):
         # these composites were refused as over the work limit,
