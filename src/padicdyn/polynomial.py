@@ -233,14 +233,11 @@ class FpPoly(_Poly):
     def roots(self) -> list[int]:
         """All residues in [0, p) where the polynomial vanishes, ascending.
 
-        A monic h of degree at most 2 is solved by _low_degree_roots,
-        the quadratic formula, with no polynomial power.  Above that,
-        Rabin's method: over F_p, p odd, x^p - x is
-        x (x^((p-1)/2) - 1) (x^((p-1)/2) + 1), so with w = x^((p-1)/2)
-        mod h, taken by repeated squaring on packed ints (see _powmod),
-        the roots of h are 0 if h(0) = 0 and those of gcd(h, w - 1) and
-        gcd(h, w + 1), which _split_linear splits apart.  The cost is
-        polynomial in deg h and log p and the output depends on no
+        For p odd, _split applies Rabin's rule to the monic h: each
+        shift a = 0, 1, ... takes out the root -a of a piece g and splits
+        the rest by gcd(g, (x + a)^((p-1)/2) - 1) and
+        gcd(g, (x + a)^((p-1)/2) + 1), with h itself at a = 0.  The cost
+        is polynomial in deg h and log p and the output depends on no
         random choice.  The zero polynomial vanishes everywhere.
         """
         p = self.prime.p
@@ -248,14 +245,7 @@ class FpPoly(_Poly):
             return list(range(p))
         if p == 2:
             return [a for a in (0, 1) if self.eval(a) == 0]
-        h = _monic(list(self.coeffs), p)
-        if len(h) <= 3:
-            return sorted(_low_degree_roots(h, p))
-        w = _powmod([0, 1], (p - 1) // 2, h, p)
-        roots = [0] if h[0] == 0 else []
-        for c in (1, -1):
-            roots += _split_linear(_gcd(h, _sub(w, [c], p), p), p)
-        return sorted(roots)
+        return sorted(_split(_monic(list(self.coeffs), p), p))
 
     def _check_same_field(self, other: "FpPoly") -> None:
         if self.prime != other.prime:
@@ -413,31 +403,31 @@ def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     return quot, _trim([c % p for c in rem[:db]])
 
 
-def _powmod(base: list[int], e: int, h: list[int], p: int) -> list[int]:
-    """base^e mod a monic h over F_p, for e >= 1 and a base with
-    coefficients in [0, p), by left-to-right squaring on packed residues.
+def _powmod(a: int, e: int, h: list[int], p: int) -> list[int]:
+    """(x + a)^e mod a monic h of degree >= 2 over F_p, for e >= 1 and
+    0 <= a < p, by left-to-right squaring on packed residues.
 
     A residue mod h, of degree below n = deg h, is one int with a slot
     of width >= 2 bits(p) + bits(n) + 1 bits per coefficient.  A product
     of two residues has 2n - 1 slots, each a sum of at most n products
     below p^2; multiplying it by x shifts it up a slot.  _reduce_packed
-    takes it back below x^n.
+    takes it back below x^n.  For a != 0 the product is reduced first,
+    so that the shift plus a times it keeps each slot below p^2.
     """
     n = len(h) - 1
     size = (2 * p.bit_length() + n.bit_length() + 8) // 8
     width = 8 * size
     # x^n = -(h - x^n), which a power of degree below n never needs
-    row = _pack([-c % p for c in h[:-1]], size) if (len(base) - 1) * e >= n else 0
-    packed_base = _pack(base if len(base) <= n else _divmod(base, h, p)[1], size)
-    by_x = base == [0, 1]
-    result = packed_base
+    row = _pack([-c % p for c in h[:-1]], size) if e >= n else 0
+    result = _pack([a, 1], size)
     for bit in bin(e)[3:]:
         result *= result
         if bit == "1":
-            if by_x:
-                result <<= width
+            if a:
+                result = _reduce_packed(result, row, n, width, p)
+                result = (result << width) + a * result
             else:
-                result = _reduce_packed(result, row, n, width, p) * packed_base
+                result <<= width
         result = _reduce_packed(result, row, n, width, p)
     # as many slots as the result fills: its top one is nonzero
     return _unpack(result, size, -(-result.bit_length() // width))
@@ -471,32 +461,36 @@ def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return _monic(a, p)
 
 
-def _split_linear(g: list[int], p: int) -> list[int]:
-    """Roots of a monic g over F_p, p odd, that is a product of distinct
-    linear factors (unordered).
+def _split(h: list[int], p: int) -> list[int]:
+    """Roots of a monic h over F_p, p odd (unordered), by Rabin's rule.
 
-    A piece of degree at most 2 is solved by _low_degree_roots.  A
-    larger one is split by a shift: a factor x - r divides
-    gcd(g, (x + a)^((p-1)/2) - 1) exactly when r + a is a nonzero
-    square.  Two distinct nonzero roots, all that FpPoly.roots passes,
-    differ in that respect for some a in [1, p), so trying a = 1, 2, ...
-    in turn always splits g.
+    As x^p - x = x (x^((p-1)/2) - 1) (x^((p-1)/2) + 1), shifted by a, a
+    root r of a piece g other than -a is a root of g_+ =
+    gcd(g, w - 1) if r + a is a nonzero square and of g_- =
+    gcd(g, w + 1) if not, for w = (x + a)^((p-1)/2) mod g; both are
+    products of distinct linear factors.  Each step takes a piece at the
+    next shift a, h itself at a = 0, records -a if g(-a) = 0 and goes on
+    with g_+ and g_-.  A piece that comes back whole has all its roots
+    in one square class and waits for the next shift; two distinct
+    roots differ in class for some a in [0, p), so it splits.  A piece
+    of degree at most 2 is solved by _low_degree_roots, with no power.
     """
     roots = []
-    pending = [g]
-    a = 1
+    pending = [h]
+    a = 0
     while pending:
         g = pending.pop()
         if len(g) <= 3:
             roots += _low_degree_roots(g, p)
             continue
-        while True:
-            w = _powmod([a % p, 1], (p - 1) // 2, g, p)
-            a += 1
-            s = _gcd(g, _sub(w, [1], p), p)
-            if 1 < len(s) < len(g):
-                break
-        pending += [s, _divmod(g, s, p)[0]]
+        if horner_mod(g, -a, p) == 0:
+            roots.append(-a % p)
+        w = _powmod(a, (p - 1) // 2, g, p)
+        # the shift runs on across pieces, taken mod p: a larger one
+        # would overflow _powmod's slots
+        a = (a + 1) % p
+        # a constant gcd, with no roots, is dropped by _low_degree_roots
+        pending += [_gcd(g, _sub(w, [c], p), p) for c in (1, -1)]
     return roots
 
 

@@ -80,25 +80,30 @@ def prime(p: int) -> int:
 
 
 def roots(f: IntPoly, p: int) -> int:
-    """roots_mod_p: w = x^((p-1)/2) mod h = f - t mod p by squaring, the
-    gcds of h with w - 1 and w + 1, which hold its nonzero roots (e <=
-    min(d, p) roots in all), and equal-degree splitting of each gcd by
-    one power (x + a)^((p-1)/2) mod a factor of it per try; then f' at
-    each root.  An h or a piece of degree at most 2 is solved by the
-    quadratic formula instead, with Euler's criterion and Cipolla's
-    square root: a few built-in pows and O(log p) multiplications mod p.
-    The estimate still charges the powers, so it stays an upper bound:
-    a quadratic at primes of 16 to 2203 bits takes at most 0.13 of it.
+    """roots_mod_p: Rabin's rule on h = f - t mod p, which has e <=
+    min(d, p) roots: each shift a = 0, 1, ... takes out the root -a of a
+    piece g, h itself at a = 0, and splits the rest by
+    gcd(g, (x + a)^((p-1)/2) - 1) and gcd(g, (x + a)^((p-1)/2) + 1), one
+    power by squaring per shift; then f' at each root.  An h or a piece
+    of degree at most 2 is solved by the quadratic formula instead, with
+    Euler's criterion and Cipolla's square root: a few built-in pows and
+    O(log p) multiplications mod p.  The estimate still charges the
+    powers, so it stays an upper bound: a quadratic at primes of 16 to
+    2203 bits takes at most 0.13 of it.
 
     Each power costs about 9 us per bit of p in calls and list work,
     and 1 us more per 64 bits of p.
-    The splitting takes about three powers per root, counting the run
-    of failed tries that two roots can need, and the estimate charges
-    all e of them: a congruence with few roots can take a twentieth of
-    it.  A power of degree e squares and reduces at each bit of p past
-    its first log2 e, for e^2 word operations of (300 + 70 bits / 16) ns
-    each; the first power and the splitting take up to six such powers
-    between them.  The gcd costs d * e word operations.
+    The splitting takes about three powers per root, counting the
+    shifts that leave a piece whole, and the estimate charges all e of
+    them: a congruence with few roots can take a twentieth of it.  A
+    power of degree e squares and reduces at each bit of p past its
+    first log2 e, for e^2 word operations of (300 + 70 bits / 16) ns
+    each; the power at a = 0 and the splitting take up to six such
+    powers between them.  The gcds of h cost d * e word operations.
+    These figures were measured on a first split of h followed by a
+    separate splitting of its gcds.  The rule takes the same powers, and
+    its two gcds per split, in place of a gcd and a division, are
+    covered by the three powers per root, so the estimate stands.
     """
     bits = p.bit_length()
     e = max(min(f.degree, p), 0)

@@ -206,11 +206,12 @@ class TestRootFinder:
 
 
 class TestRootSplitting:
-    """FpPoly.roots takes w = x^((p-1)/2) mod h once, and w alone sorts
-    the roots of h into 0, the nonzero squares (gcd(h, w - 1)) and the
-    non-squares (gcd(h, w + 1)); each gcd with three or more roots is
-    then split by shifts a = 1, 2, ..., and every piece of degree at
-    most 2 is solved by the quadratic formula, with no power."""
+    """FpPoly.roots splits h by one rule: each shift a = 0, 1, ... takes
+    out the root -a of a piece g and splits the rest by
+    gcd(g, (x + a)^((p-1)/2) - 1) and gcd(g, (x + a)^((p-1)/2) + 1),
+    with h itself at a = 0; a piece that comes back whole waits for the
+    next shift, and every piece of degree at most 2 is solved by the
+    quadratic formula, with no power."""
 
     # p = 3 mod 4, then p = 1 mod 4
     PRIMES = [3, 7, 11, 19, 23, 43, 5, 13, 17, 29, 37, 101]
@@ -273,6 +274,25 @@ class TestRootSplitting:
             f = f * IntPoly((-r, 1))
         # x^2 + 1 has no roots mod 7
         assert reduce_mod_p(f * f * IntPoly((1, 0, 1)), 7).roots() == roots
+        assert len(calls) == powers
+
+    @pytest.mark.parametrize(
+        "p, f, powers",
+        [
+            # every root a nonzero square: a = 0 leaves h whole, and a = 1
+            # splits it into 2 (2 a non-square) and 1, 4 (3, 5 squares)
+            (7, IntPoly((-1, 1)) * IntPoly((-2, 1)) * IntPoly((-4, 1)), 2),
+            # every root a non-square, so a = 0 leaves h whole; a = 1
+            # takes out 6 = -1 and splits 3 (4 a square) from 5 (6 not)
+            (7, IntPoly((-3, 1)) * IntPoly((-5, 1)) * IntPoly((-6, 1)), 2),
+            # x^(p-1) - 1: every nonzero residue a root, split by a long
+            # run of shifts
+            (1009, IntPoly.monomial(1, 1008) - 1, 729),
+        ],
+    )
+    def test_each_shift_takes_out_its_root_or_splits(self, monkeypatch, p, f, powers):
+        calls = self._count_powers(monkeypatch)
+        assert reduce_mod_p(f, p).roots() == exhaustive_roots(f, 0, p)
         assert len(calls) == powers
 
     @pytest.mark.parametrize("p", [3, 5, 7, 13, 17])
@@ -546,21 +566,22 @@ class TestPackedArithmetic:
         from padicdyn.polynomial import _powmod
 
         rng = random.Random(p % 1000)
-        for n in (1, 2, 3, 4, 5, 6, 8, 13, 21, 40):
+        for n in (2, 3, 4, 5, 6, 8, 13, 21, 40):
             h = [rng.randrange(p) for _ in range(n)] + [1]
             # every coefficient p - 1: the largest sum a slot can hold
             full = [p - 1] * n + [1]
-            bases = [[0, 1], [rng.randrange(p), 1], [p - 1] * n,
-                     [rng.randrange(p) for _ in range(rng.randint(1, n + 1))]]
+            # x, x + 1, a random shift and x - 1, whose a = p - 1 makes
+            # a times a residue the widest
+            shifts = [0, 1, rng.randrange(p), p - 1]
             # up to 64-bit exponents, and up to 12 bits at high degree
             bits = 64 if n <= 8 else 12
             for e in (1, 2, 3, (p - 1) // 2, rng.getrandbits(bits) | 1):
                 if e.bit_length() > bits:
                     continue
-                for base in bases:
+                for a in shifts:
                     for modulus in (h, full):
-                        assert _powmod(base, e, modulus, p) == schoolbook_powmod(
-                            base, e, modulus, p
+                        assert _powmod(a, e, modulus, p) == schoolbook_powmod(
+                            [a, 1], e, modulus, p
                         )
 
     def test_power_of_low_degree_needs_no_reduction(self):
@@ -568,8 +589,8 @@ class TestPackedArithmetic:
 
         # x^6 mod a degree-1000 h is x^6 itself
         h = [1] * 1000 + [1]
-        assert _powmod([0, 1], 6, h, 13) == [0] * 6 + [1]
-        assert _powmod([3, 1], 2, h, 13) == [9, 6, 1]
+        assert _powmod(0, 6, h, 13) == [0] * 6 + [1]
+        assert _powmod(3, 2, h, 13) == [9, 6, 1]
 
     def test_long_products_match_the_loop(self):
         from padicdyn.polynomial import _PACKED_MUL_MIN, _mul
